@@ -5,6 +5,11 @@ arbitrary spatial dimension D, or its relativistic variant over spacetime
 indices 0..D with metric diag(-1, 1, ..., 1), and exposes the shifted
 coordinate X, the angular momenta l/L/J, the Lorentz generator M, and the
 Planck-scale quantum conditions on a numeric theta matrix.
+
+The index space (index range, metric, generators) is shared with the
+classical phase space of `dfra.constraints`, and so are the operator
+formulas: X, J and M, their SO(D) closure residuals and the infinitesimal
+transforms they generate take any bracket over either space.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .reps import ETA, _levi4, antisymmetric
 from .symcore import (
     BracketTable,
     Expression,
@@ -26,15 +32,35 @@ from .symcore import (
 )
 
 
+def index_range(D: int, relativistic: bool = False) -> range:
+    """Indices 1..D, or spacetime indices 0..D when relativistic."""
+    if D < 2:
+        raise ValueError("D must be >= 2: theta has no components below D = 2")
+    return range(0 if relativistic else 1, D + 1)
+
+
+def generator_symbols(idx: range, vectors: tuple[str, ...]) -> list[Generator]:
+    """One generator per vector name and index, then theta and pi per pair mu < nu."""
+    out = [Generator(name, (mu,)) for name in vectors for mu in idx]
+    return out + [Generator(name, pair) for name in ("theta", "pi")
+                  for pair in combinations(idx, 2)]
+
+
 @dataclass(frozen=True)
-class DfraAlgebra:
+class IndexSpace:
+    """Index range, metric and generators of a bracket table over (x, p, theta, pi).
+
+    Antisymmetric pairs are stored with first index < second; the pair
+    constructors return the sign-normalized generator.
+    """
+
     D: int
     relativistic: bool
     table: BracketTable
 
     @property
     def indices(self) -> range:
-        return range(0 if self.relativistic else 1, self.D + 1)
+        return index_range(self.D, self.relativistic)
 
     def metric(self, mu: int, nu: int) -> Fraction:
         if mu != nu:
@@ -47,41 +73,37 @@ class DfraAlgebra:
         if mu not in self.indices:
             raise IndexError(f"index {mu} outside range {self.indices}")
 
-    # generator expressions, with antisymmetric pairs normalized
+    def _vector(self, name: str, mu: int) -> Expression:
+        self._check_index(mu)
+        return Expression.generator(Generator(name, (mu,)))
+
+    def _pair(self, name: str, mu: int, nu: int) -> Expression:
+        self._check_index(mu)
+        self._check_index(nu)
+        return Expression.pair(name, mu, nu)
+
+    def _generators(self, vectors: tuple[str, ...]) -> list[Expression]:
+        return [Expression.generator(g) for g in generator_symbols(self.indices, vectors)]
 
     def x(self, mu: int) -> Expression:
-        self._check_index(mu)
-        return Expression.generator(Generator("x", (mu,)))
+        return self._vector("x", mu)
 
     def p(self, mu: int) -> Expression:
-        self._check_index(mu)
-        return Expression.generator(Generator("p", (mu,)))
+        return self._vector("p", mu)
 
     def theta(self, mu: int, nu: int) -> Expression:
-        self._check_index(mu)
-        self._check_index(nu)
-        if mu == nu:
-            return Expression.zero()
-        if mu > nu:
-            return -Expression.generator(Generator("theta", (nu, mu)))
-        return Expression.generator(Generator("theta", (mu, nu)))
+        return self._pair("theta", mu, nu)
 
     def pi(self, mu: int, nu: int) -> Expression:
-        self._check_index(mu)
-        self._check_index(nu)
-        if mu == nu:
-            return Expression.zero()
-        if mu > nu:
-            return -Expression.generator(Generator("pi", (nu, mu)))
-        return Expression.generator(Generator("pi", (mu, nu)))
+        return self._pair("pi", mu, nu)
+
+
+class DfraAlgebra(IndexSpace):
+    """The quantum algebra: commutator table over (x, p, theta, pi)."""
 
     def generators(self) -> list[Expression]:
         """All generators as expressions, one per independent component."""
-        gens = [self.x(mu) for mu in self.indices]
-        gens += [self.p(mu) for mu in self.indices]
-        gens += [self.theta(mu, nu) for mu, nu in combinations(self.indices, 2)]
-        gens += [self.pi(mu, nu) for mu, nu in combinations(self.indices, 2)]
-        return gens
+        return self._generators(("x", "p"))
 
 
 def build(D: int, relativistic: bool = False) -> DfraAlgebra:
@@ -91,22 +113,11 @@ def build(D: int, relativistic: bool = False) -> DfraAlgebra:
     [theta, pi] = i delta-pair, and [x, pi] = -(i/2) delta-pair p.
     Everything else commutes.
     """
-    if D < 2:
-        raise ValueError("D must be >= 2: theta has no components below D = 2")
-    idx = range(0 if relativistic else 1, D + 1)
-    universe = []
-    for mu in idx:
-        universe.append(Generator("x", (mu,)))
-        universe.append(Generator("p", (mu,)))
-    pairs = list(combinations(idx, 2))
-    for mu, nu in pairs:
-        universe.append(Generator("theta", (mu, nu)))
-        universe.append(Generator("pi", (mu, nu)))
-
+    idx = index_range(D, relativistic)
     entries: dict[tuple[Generator, Generator], Expression] = {}
     for mu in idx:
         entries[(Generator("x", (mu,)), Generator("p", (mu,)))] = Expression.scalar(I)
-    for mu, nu in pairs:
+    for mu, nu in combinations(idx, 2):
         entries[(Generator("x", (mu,)), Generator("x", (nu,)))] = Expression(
             {(Generator("theta", (mu, nu)),): I}
         )
@@ -121,68 +132,118 @@ def build(D: int, relativistic: bool = False) -> DfraAlgebra:
             {(Generator("p", (mu,)),): GaussRat(0, Fraction(1, 2))}
         )
 
-    table = BracketTable(D, universe, entries, mode="commutator")
+    table = BracketTable(D, generator_symbols(idx, ("x", "p")), entries, mode="commutator")
     return DfraAlgebra(D=D, relativistic=relativistic, table=table)
 
 
-def shifted_coordinate(alg: DfraAlgebra, mu: int) -> Expression:
+# ---------------------------------------------------------------------------
+# derived operators, over the quantum algebra or the classical phase space
+
+
+def shifted_coordinate(space: IndexSpace, mu: int) -> Expression:
     """X^mu = x^mu + (1/2) theta^{mu nu} p_nu; commutes with itself and pi."""
-    alg._check_index(mu)
-    out = alg.x(mu)
-    for nu in alg.indices:
-        out = out + alg.theta(mu, nu) * alg.p(nu) * Fraction(1, 2)
-    return normal_form(out, alg.table)
+    space._check_index(mu)
+    out = space.x(mu)
+    for nu in space.indices:
+        out = out + space.theta(mu, nu) * space.p(nu) * Fraction(1, 2)
+    return normal_form(out, space.table)
 
 
-def angular_momentum(alg: DfraAlgebra, i: int, j: int, variant: str = "J") -> Expression:
-    """Angular momentum over spatial indices.
+def angular_momentum(space: IndexSpace, i: int, j: int, variant: str = "J") -> Expression:
+    """Angular momentum, over spatial or (relativistic) spacetime indices.
 
     variant "little-l": x^i p^j - x^j p^i (does not close in SO(D));
     variant "L": X^i p^j - X^j p^i;
     variant "J": L^{ij} - theta^{il} pi_l^j + theta^{jl} pi_l^i, the total
-    angular momentum that generates rotations on every sector.
+    angular momentum that generates rotations on every sector.  The same
+    formula is the Lorentz generator M on a relativistic algebra and the
+    classical J on a phase space.
     """
     if i == j:
         raise ValueError("angular momentum needs i != j")
-    alg._check_index(i)
-    alg._check_index(j)
+    space._check_index(i)
+    space._check_index(j)
     if variant == "little-l":
-        base_i, base_j = alg.x(i), alg.x(j)
+        base_i, base_j = space.x(i), space.x(j)
     elif variant in ("L", "J"):
-        base_i, base_j = shifted_coordinate(alg, i), shifted_coordinate(alg, j)
+        base_i, base_j = shifted_coordinate(space, i), shifted_coordinate(space, j)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    out = base_i * _p_upper(alg, j) - base_j * _p_upper(alg, i)
+    out = base_i * _p_upper(space, j) - base_j * _p_upper(space, i)
     if variant == "J":
-        out = out - _theta_pi_term(alg, i, j) + _theta_pi_term(alg, j, i)
-    return normal_form(out, alg.table)
+        out = out - _theta_pi_term(space, i, j) + _theta_pi_term(space, j, i)
+    return normal_form(out, space.table)
 
 
-def _p_upper(alg: DfraAlgebra, mu: int) -> Expression:
-    return alg.p(mu) * alg.metric(mu, mu)
+def _p_upper(space: IndexSpace, mu: int) -> Expression:
+    return space.p(mu) * space.metric(mu, mu)
 
 
-def _theta_pi_term(alg: DfraAlgebra, mu: int, nu: int) -> Expression:
-    """theta^{mu sigma} pi_sigma^nu, index raised with the algebra metric."""
+def _theta_pi_term(space: IndexSpace, mu: int, nu: int) -> Expression:
+    """theta^{mu sigma} pi_sigma^nu, index raised with the space's metric."""
     out = Expression.zero()
-    for sigma in alg.indices:
-        out = out + alg.theta(mu, sigma) * alg.pi(sigma, nu) * alg.metric(nu, nu)
+    for sigma in space.indices:
+        out = out + space.theta(mu, sigma) * space.pi(sigma, nu) * space.metric(nu, nu)
     return out
+
+
+def _pair_generator(space: IndexSpace, variant: str = "J"):
+    """(a, b) -> angular momentum of the variant, zero when a == b."""
+
+    def G(a: int, b: int) -> Expression:
+        if a == b:
+            space._check_index(a)
+            return Expression.zero()
+        return angular_momentum(space, a, b, variant)
+
+    return G
 
 
 def lorentz_generator(alg: DfraAlgebra, mu: int, nu: int) -> Expression:
     """M^{mu nu} = X^mu p^nu - X^nu p^mu - theta^{mu s} pi_s^nu + theta^{nu s} pi_s^mu."""
     if not alg.relativistic:
         raise ValueError("Lorentz generator needs a relativistic algebra")
-    alg._check_index(mu)
-    alg._check_index(nu)
-    out = (
-        shifted_coordinate(alg, mu) * _p_upper(alg, nu)
-        - shifted_coordinate(alg, nu) * _p_upper(alg, mu)
-        - _theta_pi_term(alg, mu, nu)
-        + _theta_pi_term(alg, nu, mu)
-    )
-    return normal_form(out, alg.table)
+    return _pair_generator(alg)(mu, nu)
+
+
+def _commutator(alg: IndexSpace):
+    return lambda a, b: bracket(a, b, alg.table)
+
+
+def so_pattern(G, g, i: int, j: int, k: int, l: int):
+    """g_il G(k,j) - g_jl G(k,i) - g_ik G(l,j) + g_jk G(l,i).
+
+    [G^{ij}, G^{kl}] is i (quantum) or 1 (classical) times this when G closes
+    in SO(D) or the Lorentz algebra with metric g.  G and g take two indices;
+    G may return expressions or arrays.  Terms with a zero metric factor are
+    not evaluated.
+    """
+    terms = ((g(i, l), k, j), (-g(j, l), k, i), (-g(i, k), l, j), (g(j, k), l, i))
+    return sum((c * G(a, b) for c, a, b in terms if c), 0)
+
+
+def closure_residual(space: IndexSpace, br, variant: str, factor, i, j, k, l) -> Expression:
+    """br(G^{ij}, G^{kl}) - factor * so_pattern, G the variant's angular momentum."""
+    G = _pair_generator(space, variant)
+    lhs = br(G(i, j), G(k, l))
+    return normal_form(lhs - so_pattern(G, space.metric, i, j, k, l) * factor, space.table)
+
+
+def infinitesimal_transform(space: IndexSpace, w, label: str, indices: range, br,
+                            factor, e: Expression) -> Expression:
+    """factor * sum_{a,b} w_ab br(e, J^{ab}), a and b running over indices.
+
+    w is an antisymmetric matrix of exact rationals, row and column k
+    standing for indices[k].
+    """
+    w = antisymmetric(w, label, len(indices), exact=True)
+    J = _pair_generator(space)
+    out = Expression.zero()
+    for a, mu in enumerate(indices):
+        for b, nu in enumerate(indices):
+            if w[a, b]:
+                out = out + br(e, J(mu, nu)) * w[a, b]
+    return normal_form(out * factor, space.table)
 
 
 def rotate(alg: DfraAlgebra, epsilon, e: Expression) -> Expression:
@@ -191,21 +252,8 @@ def rotate(alg: DfraAlgebra, epsilon, e: Expression) -> Expression:
     epsilon is an antisymmetric D x D matrix of exact rationals indexed by
     the spatial indices 1..D.
     """
-    eps = [[Fraction(v) for v in row] for row in epsilon]
-    if len(eps) != alg.D or any(len(row) != alg.D for row in eps):
-        raise ValueError(f"epsilon must be {alg.D}x{alg.D}")
-    for a in range(alg.D):
-        for b in range(alg.D):
-            if eps[a][b] != -eps[b][a]:
-                raise ValueError("epsilon must be antisymmetric")
-    out = Expression.zero()
-    for a in range(1, alg.D + 1):
-        for b in range(1, alg.D + 1):
-            if a == b or eps[a - 1][b - 1] == 0:
-                continue
-            J = angular_momentum(alg, a, b, "J")
-            out = out + bracket(e, J, alg.table) * eps[a - 1][b - 1]
-    return normal_form(out * GaussRat(0, Fraction(1, 2)), alg.table)
+    return infinitesimal_transform(alg, epsilon, "epsilon", range(1, alg.D + 1),
+                                   _commutator(alg), GaussRat(0, Fraction(1, 2)), e)
 
 
 def lorentz_transform(alg: DfraAlgebra, omega, e: Expression) -> Expression:
@@ -218,49 +266,21 @@ def lorentz_transform(alg: DfraAlgebra, omega, e: Expression) -> Expression:
     """
     if not alg.relativistic:
         raise ValueError("Lorentz transformations need a relativistic algebra")
-    n = alg.D + 1
-    w = [[Fraction(v) for v in row] for row in omega]
-    if len(w) != n or any(len(row) != n for row in w):
-        raise ValueError(f"omega must be {n}x{n}")
-    for a in range(n):
-        for b in range(n):
-            if w[a][b] != -w[b][a]:
-                raise ValueError("omega must be antisymmetric")
-    out = Expression.zero()
-    for mu in range(n):
-        for nu in range(n):
-            if w[mu][nu] == 0:
-                continue
-            out = out + bracket(e, lorentz_generator(alg, mu, nu), alg.table) * w[mu][nu]
-    return normal_form(out * GaussRat(0, Fraction(1, 2)), alg.table)
+    return infinitesimal_transform(alg, omega, "omega", alg.indices,
+                                   _commutator(alg), GaussRat(0, Fraction(1, 2)), e)
 
 
 def so_closure_residual(alg: DfraAlgebra, i: int, j: int, k: int, l: int) -> Expression:
-    """[J^{ij}, J^{kl}] minus the SO(D) pattern; zero certifies closure."""
-    J = lambda a, b: angular_momentum(alg, a, b, "J") if a != b else Expression.zero()
-    lhs = bracket(J(i, j), J(k, l), alg.table)
-    rhs = (
-        alg.metric(i, l) * J(k, j)
-        - alg.metric(j, l) * J(k, i)
-        - alg.metric(i, k) * J(l, j)
-        + alg.metric(j, k) * J(l, i)
-    ) * I
-    return normal_form(lhs - rhs, alg.table)
+    """[J^{ij}, J^{kl}] minus the SO(D) pattern; zero certifies closure.
+
+    On a relativistic algebra J is M and the pattern is the Lorentz algebra.
+    """
+    return closure_residual(alg, _commutator(alg), "J", I, i, j, k, l)
 
 
 def little_l_residual(alg: DfraAlgebra, i: int, j: int, k: int, l: int) -> Expression:
     """[l^{ij}, l^{kl}] minus the SO(D) pattern: the theta p p obstruction."""
-    ll = lambda a, b: (
-        angular_momentum(alg, a, b, "little-l") if a != b else Expression.zero()
-    )
-    lhs = bracket(ll(i, j), ll(k, l), alg.table)
-    rhs = (
-        alg.metric(i, l) * ll(k, j)
-        - alg.metric(j, l) * ll(k, i)
-        - alg.metric(i, k) * ll(l, j)
-        + alg.metric(j, k) * ll(l, i)
-    ) * I
-    return normal_form(lhs - rhs, alg.table)
+    return closure_residual(alg, _commutator(alg), "little-l", I, i, j, k, l)
 
 
 def little_l_theta_terms(alg: DfraAlgebra, i: int, j: int, k: int, l: int) -> Expression:
@@ -288,26 +308,6 @@ def jacobi_suite(alg: DfraAlgebra):
 # quantum conditions on a numeric eigenvalue matrix
 
 
-def _levi_civita_4() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    for perm, sign in (
-        ((0, 1, 2, 3), 1), ((0, 2, 3, 1), 1), ((0, 3, 1, 2), 1),
-        ((1, 0, 3, 2), 1), ((1, 2, 0, 3), 1), ((1, 3, 2, 0), 1),
-        ((2, 0, 1, 3), 1), ((2, 1, 3, 0), 1), ((2, 3, 0, 1), 1),
-        ((3, 0, 2, 1), 1), ((3, 1, 0, 2), 1), ((3, 2, 1, 0), 1),
-        ((0, 1, 3, 2), -1), ((0, 2, 1, 3), -1), ((0, 3, 2, 1), -1),
-        ((1, 0, 2, 3), -1), ((1, 2, 3, 0), -1), ((1, 3, 0, 2), -1),
-        ((2, 0, 3, 1), -1), ((2, 1, 0, 3), -1), ((2, 3, 1, 0), -1),
-        ((3, 0, 1, 2), -1), ((3, 1, 2, 0), -1), ((3, 2, 0, 1), -1),
-    ):
-        eps[perm] = sign
-    return eps
-
-
-_EPS4 = _levi_civita_4()
-_ETA4 = np.diag([-1.0, 1.0, 1.0, 1.0])
-
-
 def quantum_conditions(theta: np.ndarray, planck_length: float) -> tuple[float, float]:
     """Residuals of the Planck-scale conditions on a numeric theta matrix.
 
@@ -316,17 +316,13 @@ def quantum_conditions(theta: np.ndarray, planck_length: float) -> tuple[float, 
     with *theta_{mu nu} = (1/2) eps_{mu nu rho sigma} theta^{rho sigma} and
     eps_{0123} = +1.  Both vanish iff the conditions hold.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (4, 4):
-        raise ValueError("theta must be 4x4")
-    if not np.allclose(theta, -theta.T, atol=1e-12):
-        raise ValueError("theta must be antisymmetric")
+    theta = antisymmetric(theta, "theta")
     if planck_length <= 0:
         raise ValueError("planck_length must be positive")
-    theta_lower = _ETA4 @ theta @ _ETA4
+    theta_lower = ETA @ theta @ ETA
     first = float(np.einsum("mn,mn->", theta_lower, theta))
-    dual_lower = 0.5 * np.einsum("mnrs,rs->mn", _EPS4, theta)
-    dual_upper = _ETA4 @ dual_lower @ _ETA4
+    dual_lower = 0.5 * np.einsum("mnrs,rs->mn", _levi4(), theta)
+    dual_upper = ETA @ dual_lower @ ETA
     pseudo = 0.25 * float(np.einsum("mn,mn->", dual_upper, theta_lower))
     second = pseudo**2 - planck_length**8
     return first, second

@@ -26,6 +26,7 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class CheckResult:
     def build(name, ref, residual, tolerance, started) -> "CheckResult":
         if ref not in REFERENCES:
             raise ValueError(f"unregistered reference tag {ref!r}")
-        ok = residual <= tolerance
+        ok = math.isfinite(residual) and math.isfinite(tolerance) and residual <= tolerance
         return CheckResult(
             name=name,
             paper_ref=ref,
@@ -166,6 +167,12 @@ def parse_params(pairs: list[str], config_file: str | None = None) -> dict:
             values[key] = typ(raw)
         except ValueError as exc:
             raise UsageError(f"parameter {key} needs a {typ.__name__}") from exc
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise UsageError(f"parameter {key} must be finite, got {value}")
+    for key in ("m", "omega", "Lambda", "Omega"):  # masses and frequencies
+        if values[key] <= 0:
+            raise UsageError(f"parameter {key} must be positive, got {values[key]}")
     return values
 
 
@@ -173,11 +180,18 @@ def parse_params(pairs: list[str], config_file: str | None = None) -> dict:
 # suites
 
 
+def _worst(*values) -> float:
+    """Largest value, NaN if any value is NaN (builtin max can drop a NaN)."""
+    return float(np.max(values))
+
+
 def _zero_expr_residual(exprs) -> float:
     return float(sum(0 if e.is_zero() else 1 for e in exprs))
 
 
-def algebra_suite(p: dict) -> list[CheckResult]:
+def algebra_suite(p: dict, *, shared: bool = True) -> list[CheckResult]:
+    """The algebra checks at D = p["D"]; shared=False leaves out the three
+    that do not depend on D (relativistic Jacobi, Lorentz closure, quantum conditions)."""
     s = _Suite()
     D = p["D"]
 
@@ -186,10 +200,11 @@ def algebra_suite(p: dict) -> list[CheckResult]:
     failures = sum(0 if r.is_zero() else 1 for *_, r in algebra.jacobi_suite(alg))
     s.record(f"jacobi-exhaustive-D{D}", "dfra-jacobi", failures, 0, t0)
 
-    t0 = time.perf_counter()
-    rel = algebra.build(3, relativistic=True)
-    failures = sum(0 if r.is_zero() else 1 for *_, r in algebra.jacobi_suite(rel))
-    s.record("jacobi-exhaustive-relativistic-4d", "dfra-jacobi", failures, 0, t0)
+    if shared:
+        t0 = time.perf_counter()
+        rel = algebra.build(3, relativistic=True)
+        failures = sum(0 if r.is_zero() else 1 for *_, r in algebra.jacobi_suite(rel))
+        s.record("jacobi-exhaustive-relativistic-4d", "dfra-jacobi", failures, 0, t0)
 
     t0 = time.perf_counter()
     bad = []
@@ -231,22 +246,14 @@ def algebra_suite(p: dict) -> list[CheckResult]:
     s.record(f"rotation-transforms-D{D}", "rotation-transforms",
              _zero_expr_residual(bad), 0, t0)
 
+    if not shared:
+        return s.checks
+
     t0 = time.perf_counter()
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    bad = []
-    for (m1, n1) in pairs:
-        for (r1, s1) in pairs:
-            M = lambda a, b: algebra.lorentz_generator(rel, a, b)
-            lhs = bracket(M(m1, n1), M(r1, s1), rel.table)
-            rhs = (
-                rel.metric(m1, s1) * M(r1, n1)
-                - rel.metric(n1, s1) * M(r1, m1)
-                - rel.metric(m1, r1) * M(s1, n1)
-                + rel.metric(n1, r1) * M(s1, m1)
-            ) * I
-            bad.append(normal_form(lhs - rhs, rel.table))
+    pairs = list(combinations(rel.indices, 2))
+    residuals = [algebra.so_closure_residual(rel, *a, *b) for a in pairs for b in pairs]
     s.record("lorentz-generator-closure", "lorentz-generator",
-             _zero_expr_residual(bad), 0, t0)
+             _zero_expr_residual(residuals), 0, t0)
 
     t0 = time.perf_counter()
     lp = 1.0
@@ -379,7 +386,7 @@ def reps_suite(p: dict) -> list[CheckResult]:
     for _ in range(100):
         lam = reps.random_float_lorentz(nrng)
         c1b, _, c3b, _ = reps.casimirs(lam.dot(k), lam.dot(K).dot(lam.T))
-        worst = max(worst, abs(c1b - c1), abs(c3b - c3))
+        worst = _worst(worst, abs(c1b - c1), abs(c3b - c3))
     s.record("casimir-invariance-100", "casimirs", worst, 1e-10, t0)
 
     t0 = time.perf_counter()
@@ -453,8 +460,8 @@ def clifford_suite(p: dict) -> list[CheckResult]:
              clifford.lorentz_closure_residual(sg), 1e-12, t0)
 
     t0 = time.perf_counter()
-    resid = max(clifford.vector_covariance_residual(gs, sg),
-                clifford.pair_covariance_residual(gs, sg))
+    resid = _worst(clifford.vector_covariance_residual(gs, sg),
+                   clifford.pair_covariance_residual(gs, sg))
     s.record("covariance-commutators", "spinor-generator", resid, 1e-12, t0)
 
     t0 = time.perf_counter()
@@ -465,14 +472,14 @@ def clifford_suite(p: dict) -> list[CheckResult]:
         K = reps.vec_to_mat(rng.normal(0, 1, 6))
         lam = rng.uniform(0.1, 2.0)
         m = rng.uniform(0.1, 2.0)
-        worst = max(worst, clifford.dirac_square_residual(gs, k, K, lam, m))
+        worst = _worst(worst, clifford.dirac_square_residual(gs, k, K, lam, m))
     s.record("dirac-square-scalar-100", "dirac-operator", worst, 1e-12, t0)
 
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
         omega = reps.vec_to_mat(rng.normal(0, 0.2, 6))
-        worst = max(worst, clifford.intertwining_residual(gs, omega))
+        worst = _worst(worst, clifford.intertwining_residual(gs, omega))
     s.record("boost-intertwining-10", "spinor-boost", worst, 1e-10, t0)
 
     t0 = time.perf_counter()
@@ -497,17 +504,17 @@ def oscillator_suite(p: dict) -> list[CheckResult]:
         worst = 0.0
         M = cfg.n_modes
         est = oscillator.moment_oracle(cfg, oscillator.monomial((0,) * M))
-        worst = max(worst, abs(est.value - 1.0))
+        worst = _worst(worst, abs(est.value - 1.0))
         for c in range(M):
             e1 = [0] * M
             e1[c] = 1
             est = oscillator.moment_oracle(cfg, oscillator.monomial(tuple(e1)))
-            worst = max(worst, abs(est.value - 0.0))
+            worst = _worst(worst, abs(est.value - 0.0))
             e1[c] = 2
             est = oscillator.moment_oracle(cfg, oscillator.monomial(tuple(e1)))
-            worst = max(worst, abs(est.value - oscillator.moment(cfg, "theta_ij_theta_kl")))
+            worst = _worst(worst, abs(est.value - oscillator.moment(cfg, "theta_ij_theta_kl")))
         est = oscillator.moment_oracle(cfg, lambda th: (th * th).sum(axis=-1))
-        worst = max(worst, abs(est.value - oscillator.moment(cfg, "theta2")))
+        worst = _worst(worst, abs(est.value - oscillator.moment(cfg, "theta2")))
         s.record(f"moments-vs-quadrature-D{D}", "oscillator-moments", worst, quad_tol, t0)
 
         t0 = time.perf_counter()
@@ -531,7 +538,7 @@ def oscillator_suite(p: dict) -> list[CheckResult]:
             theta = rng.normal(0, 1, cfg.n_modes)
             w = oscillator.weight_function(cfg, theta)
             psi2 = abs(oscillator.ground_wavefunction(cfg, theta, 0.0)) ** 2
-            worst = max(worst, abs(w - psi2))
+            worst = _worst(worst, abs(w - psi2))
         s.record(f"weight-is-wavefunction-squared-D{D}", "weight-function",
                  worst, 1e-12, t0)
 
@@ -578,7 +585,7 @@ def field_suite(p: dict) -> list[CheckResult]:
         f = field.plane_wave_mode((n, n, n), 1.0 / n, dx, dx, lam, m)
         residuals.append(float(np.abs(field.kg_apply(f)).max()))
     slopes = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
-    worst = max(abs(sl - 2.0) for sl in slopes)
+    worst = _worst(*(abs(sl - 2.0) for sl in slopes))
     s.record("kg-residual-order-2", "kg-lattice", worst, 0.1, t0)
 
     t0 = time.perf_counter()
@@ -608,7 +615,7 @@ def field_suite(p: dict) -> list[CheckResult]:
         for name_ in field.Charges._fields:
             ref = getattr(first, name_)
             scale = max(abs(ref), first.P0)
-            drift = max(drift, abs(getattr(ch, name_) - ref) / scale)
+            drift = _worst(drift, abs(getattr(ch, name_) - ref) / scale)
     s.record(f"charge-drift-{p['steps']}-steps", "noether-charges", drift, 1e-6, t0)
 
     t0 = time.perf_counter()
@@ -626,7 +633,7 @@ def field_suite(p: dict) -> list[CheckResult]:
             ).squared() + m**2,
             sign * w - 0.5, sign * w + 0.5,
         )
-        worst = max(worst, abs(root - sign * w))
+        worst = _worst(worst, abs(root - sign * w))
     s.record("propagator-poles-at-dispersion", "propagator", worst, 1e-10, t0)
 
     t0 = time.perf_counter()
@@ -641,7 +648,7 @@ def field_suite(p: dict) -> list[CheckResult]:
             np.array([[0, 0, 0, 0], [0, 0, kq_eff, 0], [0, -kq_eff, 0, 0], [0, 0, 0, 0]]),
             lam,
         )
-        worst = max(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real))
+        worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real))
     s.record("symbol-matches-propagator", "propagator", worst, 1e-9, t0)
 
     t0 = time.perf_counter()
@@ -687,8 +694,9 @@ SUITES = {
 def run_suite(suite: str, params: dict) -> dict:
     checks: list[CheckResult] = []
     if suite == "all":
+        # the D-independent algebra checks run once, with D = 2
         for D in (2, 3, 4):
-            checks += algebra_suite({**params, "D": D})
+            checks += algebra_suite({**params, "D": D}, shared=D == 2)
         for name in ("constraints", "reps", "clifford", "oscillator", "field"):
             checks += SUITES[name](params)
     elif suite in SUITES:
@@ -725,6 +733,14 @@ def format_report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_json(report: dict) -> str:
+    """Strict JSON text of a report: a non-finite residual or tolerance is null."""
+    finite = lambda v: None if isinstance(v, float) and not math.isfinite(v) else v
+    checks = [{k: finite(v) for k, v in c.items()} for c in report["checks"]]
+    return json.dumps({**report, "checks": checks}, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
@@ -746,7 +762,7 @@ def _cmd_run(args) -> int:
     params = parse_params(args.set or [], args.config)
     report = run_suite(args.suite, params)
     text = (
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _report_json(report)
         if args.format == "json"
         else format_report_text(report)
     )

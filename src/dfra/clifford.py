@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .reps import ETA, PAIRS, pair_slot
+from .algebra import so_pattern
+from .reps import ETA, PAIRS, antisymmetric, pair_slot
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -82,10 +83,6 @@ class GammaSet:
             return np.zeros((N_SPINOR, N_SPINOR), dtype=complex)
         slot, sign = pair_slot(mu, nu)
         return sign * self.gamma[4 + slot]
-
-    def pair_mixed(self, mu: int, nu: int) -> np.ndarray:
-        """Gamma^{mu}_{ nu} = eta_{nu rho} Gamma^{mu rho}."""
-        return ETA[nu, nu] * self.pair(mu, nu)
 
 
 def build_gammas() -> GammaSet:
@@ -143,18 +140,15 @@ def spinor_generator(gs: GammaSet) -> SpinorGenerator:
 
 def lorentz_closure_residual(sg: SpinorGenerator) -> float:
     """Max residual of the Lorentz algebra commutators of M."""
+    M = lambda a, b: sg.m[a, b]
+    eta = lambda a, b: ETA[a, b]
     worst = 0.0
     for mu in range(4):
         for nu in range(4):
             for rho in range(4):
                 for sig in range(4):
                     lhs = _comm(sg.m[mu, nu], sg.m[rho, sig])
-                    rhs = 1j * (
-                        ETA[mu, sig] * sg.m[rho, nu]
-                        - ETA[nu, sig] * sg.m[rho, mu]
-                        - ETA[mu, rho] * sg.m[sig, nu]
-                        + ETA[nu, rho] * sg.m[sig, mu]
-                    )
+                    rhs = 1j * so_pattern(M, eta, mu, nu, rho, sig)
                     worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -258,9 +252,7 @@ def spinor_boost(gs: GammaSet, omega: np.ndarray) -> np.ndarray:
     the vector representation: S^-1 G^mu S = L^mu_nu G^nu with
     L = vector_matrix(omega).
     """
-    omega = np.asarray(omega, dtype=float)
-    if not np.allclose(omega, -omega.T, atol=1e-12):
-        raise ValueError("omega must be antisymmetric")
+    omega = antisymmetric(np.asarray(omega, dtype=float), "omega")
     sg = spinor_generator(gs)
     gen = np.zeros((N_SPINOR, N_SPINOR), dtype=complex)
     for mu in range(4):

@@ -7,7 +7,8 @@ matrix, inverted exactly over Gaussian rationals, and Dirac brackets
     {A, B}_D = {A, B} - {A, Xi^a} Dinv_{ab} {Xi^b, B}.
 
 Quantizing {., .}_D -> (1/i)[., .] reproduces the commutator algebra of
-`dfra.algebra` on matching pairs.
+`dfra.algebra` on matching pairs.  The phase space shares that algebra's
+index space, and X and J are its formulas taken with the Poisson bracket.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .algebra import (
+    IndexSpace,
+    closure_residual,
+    generator_symbols,
+    index_range,
+    infinitesimal_transform,
+    shifted_coordinate,
+)
 from .symcore import (
     BracketTable,
     Expression,
@@ -40,47 +49,8 @@ class NotSecondClassError(ConstraintError):
     pass
 
 
-@dataclass(frozen=True)
-class PhaseSpace:
+class PhaseSpace(IndexSpace):
     """Canonical variables {x, p, theta, pi, Z, K} with Poisson structure."""
-
-    D: int
-    relativistic: bool
-    table: BracketTable
-
-    @property
-    def indices(self) -> range:
-        return range(0 if self.relativistic else 1, self.D + 1)
-
-    def metric(self, mu: int, nu: int) -> Fraction:
-        if mu != nu:
-            return Fraction(0)
-        if self.relativistic and mu == 0:
-            return Fraction(-1)
-        return Fraction(1)
-
-    def _check_index(self, mu: int) -> None:
-        if mu not in self.indices:
-            raise IndexError(f"index {mu} outside range {self.indices}")
-
-    def _vector(self, name: str, mu: int) -> Expression:
-        self._check_index(mu)
-        return Expression.generator(Generator(name, (mu,)))
-
-    def _pair(self, name: str, mu: int, nu: int) -> Expression:
-        self._check_index(mu)
-        self._check_index(nu)
-        if mu == nu:
-            return Expression.zero()
-        if mu > nu:
-            return -Expression.generator(Generator(name, (nu, mu)))
-        return Expression.generator(Generator(name, (mu, nu)))
-
-    def x(self, mu):
-        return self._vector("x", mu)
-
-    def p(self, mu):
-        return self._vector("p", mu)
 
     def Z(self, mu):
         return self._vector("Z", mu)
@@ -88,27 +58,12 @@ class PhaseSpace:
     def K(self, mu):
         return self._vector("K", mu)
 
-    def theta(self, mu, nu):
-        return self._pair("theta", mu, nu)
-
-    def pi(self, mu, nu):
-        return self._pair("pi", mu, nu)
-
     def generators(self) -> list[Expression]:
-        gens = []
-        for name in ("x", "p", "Z", "K"):
-            gens += [self._vector(name, mu) for mu in self.indices]
-        for name in ("theta", "pi"):
-            gens += [self._pair(name, mu, nu) for mu, nu in combinations(self.indices, 2)]
-        return gens
+        return self._generators(("x", "p", "Z", "K"))
 
     def core_generators(self) -> list[Expression]:
         """The (x, p, theta, pi) sector shared with the quantum algebra."""
-        gens = [self._vector("x", mu) for mu in self.indices]
-        gens += [self._vector("p", mu) for mu in self.indices]
-        gens += [self._pair("theta", mu, nu) for mu, nu in combinations(self.indices, 2)]
-        gens += [self._pair("pi", mu, nu) for mu, nu in combinations(self.indices, 2)]
-        return gens
+        return self._generators(("x", "p"))
 
     @property
     def num_variables(self) -> int:
@@ -118,21 +73,15 @@ class PhaseSpace:
 
 def build_phase_space(D: int, relativistic: bool = False) -> PhaseSpace:
     """Poisson table: {x,p} = delta, {theta,pi} = delta-pair, {Z,K} = delta."""
-    if D < 2:
-        raise ValueError("D must be >= 2")
-    idx = range(0 if relativistic else 1, D + 1)
-    universe = []
+    idx = index_range(D, relativistic)
     entries: dict[tuple[Generator, Generator], Expression] = {}
     one = Expression.scalar(1)
     for mu in idx:
-        for name in ("x", "p", "Z", "K"):
-            universe.append(Generator(name, (mu,)))
         entries[(Generator("x", (mu,)), Generator("p", (mu,)))] = one
         entries[(Generator("Z", (mu,)), Generator("K", (mu,)))] = one
-    for mu, nu in combinations(idx, 2):
-        universe.append(Generator("theta", (mu, nu)))
-        universe.append(Generator("pi", (mu, nu)))
-        entries[(Generator("theta", (mu, nu)), Generator("pi", (mu, nu)))] = one
+    for pair in combinations(idx, 2):
+        entries[(Generator("theta", pair), Generator("pi", pair))] = one
+    universe = generator_symbols(idx, ("x", "p", "Z", "K"))
     table = BracketTable(D, universe, entries, mode="poisson")
     return PhaseSpace(D=D, relativistic=relativistic, table=table)
 
@@ -327,61 +276,18 @@ def dirac_table_dump(ps: PhaseSpace, cs: ConstraintSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def classical_J(ps: PhaseSpace, i: int, j: int) -> Expression:
-    """J^{ij} = X^i p^j - X^j p^i - theta^{il} pi_l^j + theta^{jl} pi_l^i."""
-    if i == j:
-        raise ValueError("J needs i != j")
-    X = lambda m: shifted_coordinate(ps, m)
-    pu = lambda m: ps.p(m) * ps.metric(m, m)
-    out = X(i) * pu(j) - X(j) * pu(i)
-    for l in ps.indices:
-        out = out - ps.theta(i, l) * ps.pi(l, j) * ps.metric(j, j)
-        out = out + ps.theta(j, l) * ps.pi(l, i) * ps.metric(i, i)
-    return normal_form(out, ps.table)
-
-
-def shifted_coordinate(ps: PhaseSpace, i: int) -> Expression:
-    """Classical X^i = x^i + (1/2) theta^{ij} p_j."""
-    out = ps.x(i)
-    for j in ps.indices:
-        out = out + Fraction(1, 2) * ps.theta(i, j) * ps.p(j)
-    return normal_form(out, ps.table)
-
-
 def classical_j_closure_residual(
     db: DiracBracket, i: int, j: int, k: int, l: int
 ) -> Expression:
     """{J^{ij}, J^{kl}}_D minus the classical SO(D) pattern."""
-    ps = db.ps
-    J = lambda a, b: classical_J(ps, a, b) if a != b else Expression.zero()
-    lhs = db(J(i, j), J(k, l))
-    rhs = (
-        ps.metric(i, l) * J(k, j)
-        - ps.metric(j, l) * J(k, i)
-        - ps.metric(i, k) * J(l, j)
-        + ps.metric(j, k) * J(l, i)
-    )
-    return normal_form(lhs - rhs, ps.table)
+    return closure_residual(db.ps, db, "J", 1, i, j, k, l)
 
 
 def classical_rotate(db: DiracBracket, epsilon, A: Expression) -> Expression:
     """delta A = -(1/2) eps_{kl} {A, J^{kl}}_D."""
     ps = db.ps
-    eps = [[Fraction(v) for v in row] for row in epsilon]
-    n = ps.D
-    if len(eps) != n or any(len(row) != n for row in eps):
-        raise ValueError(f"epsilon must be {n}x{n}")
-    for a in range(n):
-        for b in range(n):
-            if eps[a][b] != -eps[b][a]:
-                raise ValueError("epsilon must be antisymmetric")
-    out = Expression.zero()
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a == b or eps[a - 1][b - 1] == 0:
-                continue
-            out = out + db(A, classical_J(ps, a, b)) * eps[a - 1][b - 1]
-    return normal_form(out * Fraction(-1, 2), ps.table)
+    return infinitesimal_transform(ps, epsilon, "epsilon", range(1, ps.D + 1), db,
+                                   Fraction(-1, 2), A)
 
 
 def standard_hamiltonian(

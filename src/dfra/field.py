@@ -27,6 +27,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .reps import ETA, antisymmetric
 from .symcore import GaussRat, Scalar
 
 
@@ -49,15 +50,10 @@ class IllConditionedWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # continuum: dispersion and propagator
 
-_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-
-
 def _pair_contraction(k2: np.ndarray) -> float:
     """K_{mu nu} K^{mu nu} for an antisymmetric lower-index matrix."""
-    k2 = np.asarray(k2, dtype=float)
-    if k2.shape != (4, 4) or not np.allclose(k2, -k2.T, atol=1e-12):
-        raise ValueError("theta-momentum must be an antisymmetric 4x4 matrix")
-    upper = _ETA @ k2 @ _ETA
+    k2 = antisymmetric(np.asarray(k2, dtype=float), "theta-momentum")
+    upper = ETA @ k2 @ ETA
     return float(np.einsum("mn,mn->", k2, upper))
 
 
@@ -93,7 +89,7 @@ class ExtendedMomentum:
 
     def squared(self) -> float:
         """K^2 = K1.K1 + (lam^2/2) K2.K2 (metric contractions)."""
-        return float(self.k1 @ _ETA @ self.k1) + 0.5 * self.lam**2 * _pair_contraction(
+        return float(self.k1 @ ETA @ self.k1) + 0.5 * self.lam**2 * _pair_contraction(
             self.k2
         )
 
@@ -617,13 +613,7 @@ def moyal_star(
     if order < 1:
         raise ValueError("order must be >= 1")
     n = f.n
-    theta = [[Fraction(v) for v in row] for row in theta]
-    if len(theta) != n or any(len(row) != n for row in theta):
-        raise ValueError(f"theta must be {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            if theta[i][j] != -theta[j][i]:
-                raise ValueError("theta must be antisymmetric")
+    theta = antisymmetric(theta, "theta", n, exact=True)
 
     half_i = GaussRat(0, Fraction(1, 2))
     # tensor pairs sum_k  a_k (x) b_k, advanced by the bidifferential operator
@@ -639,12 +629,12 @@ def moyal_star(
                 if da.is_zero():
                     continue
                 for nu in range(n):
-                    if theta[mu][nu] == 0:
+                    if theta[mu, nu] == 0:
                         continue
                     db = b.diff(nu)
                     if db.is_zero():
                         continue
-                    new_pairs.append((da.scale(theta[mu][nu]), db))
+                    new_pairs.append((da.scale(theta[mu, nu]), db))
         if not new_pairs:
             break
         pairs = new_pairs

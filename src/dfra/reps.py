@@ -20,8 +20,10 @@ restricted to that basis (no 1/2), which is the unique normalization whose
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -30,11 +32,7 @@ PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2
 _SLOT = {p: s for s, p in enumerate(PAIRS)}
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-ETA_EXACT = np.array(
-    [[Fraction(-1 if i == 0 else (1 if i == j else 0)) if i == j else Fraction(0)
-      for j in range(4)] for i in range(4)],
-    dtype=object,
-)
+ETA_EXACT = np.array([[Fraction(int(v)) for v in row] for row in ETA], dtype=object)
 
 
 def _eta_like(mat: np.ndarray) -> np.ndarray:
@@ -65,14 +63,26 @@ def vec_to_mat(v) -> np.ndarray:
     return out
 
 
-def _check_antisymmetric(m: np.ndarray, label: str) -> None:
-    if m.shape != (4, 4):
-        raise ValueError(f"{label} must be 4x4")
+def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
+    """m as an n x n array, after checking that it is antisymmetric.
+
+    exact=True reads the entries as Fractions.  Exact (object) arrays must
+    be antisymmetric entry for entry; any other input is read as floats and
+    checked with np.allclose at atol 1e-12.
+    """
+    if exact:
+        m = np.array([[Fraction(v) for v in row] for row in m], dtype=object)
+    elif not (isinstance(m, np.ndarray) and m.dtype == object):
+        m = np.asarray(m, dtype=float)
+    if m.shape != (n, n):
+        raise ValueError(f"{label} must be {n}x{n}")
     if m.dtype == object:
-        if any(m[i, j] != -m[j, i] for i in range(4) for j in range(4)):
-            raise ValueError(f"{label} must be antisymmetric")
-    elif not np.allclose(m, -m.T, atol=1e-12):
+        ok = all(m[i, j] == -m[j, i] for i in range(n) for j in range(n))
+    else:
+        ok = np.allclose(m, -m.T, atol=1e-12)
+    if not ok:
         raise ValueError(f"{label} must be antisymmetric")
+    return m
 
 
 def _check_lorentz(lam: np.ndarray) -> None:
@@ -102,7 +112,7 @@ class GroupElement:
         _check_lorentz(self.lam)
         if self.a.shape != (4,):
             raise ValueError("a must be a 4-vector")
-        _check_antisymmetric(self.b, "b")
+        antisymmetric(self.b, "b")
 
     @staticmethod
     def identity() -> "GroupElement":
@@ -111,11 +121,7 @@ class GroupElement:
     @staticmethod
     def pure_lorentz(lam) -> "GroupElement":
         lam = np.asarray(lam)
-        if lam.dtype == object:
-            zero_v = np.array([Fraction(0)] * 4, dtype=object)
-            zero_m = np.array([[Fraction(0)] * 4 for _ in range(4)], dtype=object)
-            return GroupElement(lam, zero_v, zero_m)
-        return GroupElement(lam, np.zeros(4), np.zeros((4, 4)))
+        return GroupElement(lam, _zeros(4, lam.dtype), _zeros((4, 4), lam.dtype))
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -162,13 +168,20 @@ def d5(g: GroupElement) -> np.ndarray:
     return out
 
 
+def _zeros(shape, dtype) -> np.ndarray:
+    """Zero array; an exact (object) one holds Fraction(0)."""
+    if dtype != object:
+        return np.zeros(shape)
+    out = np.empty(shape, dtype=object)
+    out.fill(Fraction(0))
+    return out
+
+
 def _block_identity(n: int, dtype) -> np.ndarray:
-    if dtype == object:
-        out = np.array([[Fraction(0)] * n for _ in range(n)], dtype=object)
-        for i in range(n):
-            out[i, i] = Fraction(1)
-        return out
-    return np.eye(n)
+    out = _zeros((n, n), dtype)
+    for i in range(n):
+        out[i, i] = Fraction(1) if dtype == object else 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +206,8 @@ class InfinitesimalElement:
         if self.omega.shape != (4, 4) or self.a.shape != (4,):
             raise ValueError("omega must be 4x4 and a a 4-vector")
         eta = _eta_like(self.omega)
-        _check_antisymmetric(self.omega.dot(eta), "omega^{mu nu}")
-        _check_antisymmetric(self.b, "b")
+        antisymmetric(self.omega.dot(eta), "omega^{mu nu}")
+        antisymmetric(self.b, "b")
 
     @staticmethod
     def zero() -> "InfinitesimalElement":
@@ -228,9 +241,7 @@ def compose_infinitesimal(
 
 def d2_first_order(omega: np.ndarray) -> np.ndarray:
     """Derivative of d2 at the identity in direction omega (mixed indices)."""
-    out = np.zeros((6, 6), dtype=omega.dtype)
-    if omega.dtype == object:
-        out = np.array([[Fraction(0)] * 6 for _ in range(6)], dtype=object)
+    out = _zeros((6, 6), omega.dtype)
     delta = _block_identity(4, omega.dtype)
     for r, (mu, nu) in enumerate(PAIRS):
         for c, (al, be) in enumerate(PAIRS):
@@ -245,11 +256,7 @@ def d2_first_order(omega: np.ndarray) -> np.ndarray:
 
 def generator_matrix(e: InfinitesimalElement) -> np.ndarray:
     """First-order d5 action: delta y = G y on the 11-vector (X, theta, 1)."""
-    n = 11
-    if e.omega.dtype == object:
-        out = np.array([[Fraction(0)] * n for _ in range(n)], dtype=object)
-    else:
-        out = np.zeros((n, n))
+    out = _zeros((11, 11), e.omega.dtype)
     out[:4, :4] = e.omega
     out[4:10, 4:10] = d2_first_order(e.omega)
     out[:4, 10] = e.a
@@ -306,7 +313,7 @@ def random_exact_element(rng) -> GroupElement:
             factor = exact_boost(rng.randint(1, 3), Fraction(rng.randint(-3, 3), 7))
         lam = lam.dot(factor)
     a = np.array([Fraction(rng.randint(-6, 6), 3) for _ in range(4)], dtype=object)
-    bm = np.array([[Fraction(0)] * 4 for _ in range(4)], dtype=object)
+    bm = _zeros((4, 4), object)
     for mu, nu in PAIRS:
         v = Fraction(rng.randint(-6, 6), 2)
         bm[mu, nu] = v
@@ -364,28 +371,13 @@ def matrix_to_text(m: np.ndarray, title: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-_LEVI4 = None
-
-
+@functools.cache
 def _levi4() -> np.ndarray:
-    global _LEVI4
-    if _LEVI4 is None:
-        eps = np.zeros((4, 4, 4, 4))
-        from itertools import permutations
-
-        def sign(p):
-            s = 1
-            p = list(p)
-            for i in range(len(p)):
-                for j in range(i + 1, len(p)):
-                    if p[i] > p[j]:
-                        s = -s
-            return s
-
-        for p in permutations(range(4)):
-            eps[p] = sign(p)
-        _LEVI4 = eps
-    return _LEVI4
+    """eps_{mu nu rho sigma} with eps_{0123} = +1."""
+    eps = np.zeros((4, 4, 4, 4))
+    for p in permutations(range(4)):
+        eps[p] = (-1) ** sum(p[a] > p[b] for a, b in combinations(range(4), 2))
+    return eps
 
 
 def pauli_lubanski(m1, k) -> np.ndarray:
@@ -407,7 +399,7 @@ def casimirs(k, K, m1=None, m2=None, x_ref=None, theta_ref=None):
     """
     k = np.asarray(k, dtype=float)
     K = np.asarray(K, dtype=float)
-    _check_antisymmetric(K, "K")
+    antisymmetric(K, "K")
     c1 = float(k.dot(ETA).dot(k))
     k_lower = ETA.dot(K).dot(ETA)
     c3 = 0.5 * float(np.einsum("mn,mn->", K, k_lower))

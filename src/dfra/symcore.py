@@ -49,11 +49,10 @@ class GaussRat:
 
     @staticmethod
     def coerce(value: "Scalar") -> "GaussRat":
-        if isinstance(value, GaussRat):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussRat(value)
-        raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
+        out = GaussRat._cast(value)
+        if out is None:
+            raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
+        return out
 
     @staticmethod
     def _cast(value):
@@ -123,16 +122,14 @@ class GaussRat:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
@@ -234,6 +231,15 @@ class Expression:
     def generator(gen: Generator) -> "Expression":
         return Expression({(gen,): ONE})
 
+    @staticmethod
+    def pair(name: str, mu: int, nu: int) -> "Expression":
+        """name[mu, nu], stored as mu < nu with the sign in the coefficient; 0 if mu == nu."""
+        if mu == nu:
+            return Expression()
+        if mu > nu:
+            return -Expression.generator(Generator(name, (nu, mu)))
+        return Expression.generator(Generator(name, (mu, nu)))
+
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -309,6 +315,9 @@ class Expression:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a scalar expression hashes like the coefficient it equals
+        if self.is_scalar():
+            return hash(self.scalar_part())
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
@@ -680,10 +689,7 @@ class _Parser:
         if name in ("theta", "pi"):
             if len(indices) != 2 or indices[0] == indices[1]:
                 raise ParseError(f"{name} needs two distinct indices", pos)
-            i, j = indices
-            if i > j:
-                return -Expression.generator(Generator(name, (j, i)))
-            return Expression.generator(Generator(name, (i, j)))
+            return Expression.pair(name, *indices)
         if len(indices) != 1:
             raise ParseError(f"{name} takes one index", pos)
         return Expression.generator(Generator(name, indices))

@@ -379,5 +379,7 @@ def test_criterion_9_end_to_end(tmp_path):
     assert report["summary"]["total"] > 0
     for check in report["checks"]:
         assert check["paper_ref"] in REFERENCES, check["name"]
+    names = [check["name"] for check in report["checks"]]
+    assert len(names) == len(set(names)), "record names repeat"
     _announce(9, f"run --suite all: {report['summary']['passed']} checks pass, "
                  f"exit 0 in {elapsed:.0f} s; every record reference resolves")

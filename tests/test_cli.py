@@ -1,10 +1,20 @@
 """CLI contract: exit codes, report schema, determinism, eval round trips."""
 
 import json
+import math
 
 import pytest
 
-from dfra.cli import REFERENCES, REPORT_SCHEMA, main, parse_params, run_suite
+from dfra.cli import (
+    REFERENCES,
+    REPORT_SCHEMA,
+    CheckResult,
+    UsageError,
+    _report_json,
+    main,
+    parse_params,
+    run_suite,
+)
 
 
 def test_exit_zero_on_passing_suite(tmp_path, capsys):
@@ -32,6 +42,45 @@ def test_exit_two_on_unknown_parameter(capsys):
 
 def test_exit_two_on_bad_value(capsys):
     assert main(["run", "--suite", "algebra", "--set", "D=two"]) == 2
+
+
+@pytest.mark.parametrize("pair", ["Lambda=nan", "m=inf", "lambda=-inf", "omega=0",
+                                  "Omega=-1", "m=-2"])
+def test_exit_two_on_nonfinite_or_nonpositive_value(pair, capsys):
+    assert main(["run", "--set", pair]) == 2
+    assert "must be" in capsys.readouterr().err
+    with pytest.raises(UsageError):
+        parse_params([pair])
+
+
+def test_nan_never_passes_a_check():
+    for residual, tolerance in ((math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf)):
+        assert CheckResult.build("x", "plumbing", residual, tolerance, 0.0).status == "fail"
+
+
+def test_nan_lambda_fails_every_oscillator_check_that_reads_it():
+    report = run_suite("oscillator", {**parse_params([]), "Lambda": math.nan})
+    passing = {c["name"] for c in report["checks"] if c["status"] == "pass"}
+    # the vacuum shift D(D-1) Omega / 4 and the x2 spread at default
+    # parameters do not read Lambda
+    assert passing == {"vacuum-shift-D2", "vacuum-shift-D3", "x2-spread-ground-state-D3"}
+
+
+def test_report_json_writes_nonfinite_residuals_as_null():
+    report = run_suite("algebra", {**parse_params([]), "D": 2})
+    report["checks"][0]["residual"] = math.nan
+    checks = json.loads(_report_json(report))["checks"]
+    assert checks[0]["residual"] is None
+    assert checks[1]["residual"] == 0.0
+
+
+def test_algebra_suite_reports_all_eight_checks():
+    report = run_suite("algebra", {**parse_params([]), "D": 2})
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["jacobi-exhaustive-D2", "jacobi-exhaustive-relativistic-4d",
+                     "shifted-coordinate-D2", "j-closure-D2", "little-l-residual-D2",
+                     "rotation-transforms-D2", "lorentz-generator-closure",
+                     "quantum-conditions-selfdual"]
 
 
 def test_exit_two_on_unknown_suite():

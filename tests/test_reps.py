@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from dfra.reps import (
     ETA,
+    antisymmetric,
     PAIRS,
     GroupElement,
     InfinitesimalElement,
@@ -79,6 +80,21 @@ def test_d_matrices_at_identity():
     assert np.array_equal(d3(g), np.eye(5))
     assert np.array_equal(d4(g), np.eye(7))
     assert np.array_equal(d5(g), np.eye(11))
+
+
+def test_antisymmetric_validator_exact_and_float():
+    exact = antisymmetric([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]], "w", 2, exact=True)
+    assert exact.dtype == object and exact[0, 1] == Fraction(1, 3)
+    with pytest.raises(ValueError):  # exact entries compare exactly
+        antisymmetric([[0, Fraction(1, 3)], [Fraction(-1, 3) + Fraction(1, 10**15), 0]],
+                      "w", 2, exact=True)
+    with pytest.raises(ValueError):
+        antisymmetric([[0, 1, 0], [-1, 0, 0]], "w", 3, exact=True)
+    near = np.array([[0.0, 1.0], [-1.0 + 1e-13, 0.0]])
+    assert antisymmetric(near, "w", 2).dtype == float  # floats at atol 1e-12
+    for bad in (np.eye(4), np.full((4, 4), np.nan), np.zeros((3, 3))):
+        with pytest.raises(ValueError):
+            antisymmetric(bad, "w")
 
 
 def test_group_element_rejects_non_lorentz():

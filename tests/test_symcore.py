@@ -35,6 +35,24 @@ def test_gaussrat_field_ops():
     assert bool(GaussRat(0, 0)) is False
 
 
+_RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=12)
+
+
+@given(re=st.one_of(st.integers(-50, 50).map(Fraction), _RATIONALS),
+       im=st.one_of(st.just(Fraction(0)), _RATIONALS))
+def test_equal_values_hash_equal(re, im):
+    a = GaussRat(re, im)
+    values = [a, GaussRat(re, im), Expression.scalar(a)]
+    if im == 0:
+        values.append(re)
+        if re.denominator == 1:
+            values.append(int(re))
+    for x in values:
+        for y in values:
+            assert x == y and hash(x) == hash(y)
+    assert len(set(values)) == 1
+
+
 def test_normal_form_reorders_px():
     e = parse_expression("p[1]*x[1]")
     assert normal_form(e, TABLE) == parse_expression("x[1]*p[1] - i")
