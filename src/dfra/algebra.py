@@ -14,7 +14,7 @@ transforms they generate take any bracket over either space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,12 +51,16 @@ class IndexSpace:
     """Index range, metric and generators of a bracket table over (x, p, theta, pi).
 
     Antisymmetric pairs are stored with first index < second; the pair
-    constructors return the sign-normalized generator.
+    constructors return the sign-normalized generator.  `_memo` holds the
+    derived operators built over this space (X, l/L/J, M), so they are built
+    once per space and go away with it.
     """
 
     D: int
     relativistic: bool
     table: BracketTable
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False,
+                        repr=False)
 
     @property
     def indices(self) -> range:
@@ -142,11 +146,15 @@ def build(D: int, relativistic: bool = False) -> DfraAlgebra:
 
 def shifted_coordinate(space: IndexSpace, mu: int) -> Expression:
     """X^mu = x^mu + (1/2) theta^{mu nu} p_nu; commutes with itself and pi."""
+    key = ("X", mu)
+    if key in space._memo:
+        return space._memo[key]
     space._check_index(mu)
     out = space.x(mu)
     for nu in space.indices:
         out = out + space.theta(mu, nu) * space.p(nu) * Fraction(1, 2)
-    return normal_form(out, space.table)
+    out = space._memo[key] = normal_form(out, space.table)
+    return out
 
 
 def angular_momentum(space: IndexSpace, i: int, j: int, variant: str = "J") -> Expression:
@@ -159,6 +167,9 @@ def angular_momentum(space: IndexSpace, i: int, j: int, variant: str = "J") -> E
     formula is the Lorentz generator M on a relativistic algebra and the
     classical J on a phase space.
     """
+    key = (variant, i, j)
+    if key in space._memo:
+        return space._memo[key]
     if i == j:
         raise ValueError("angular momentum needs i != j")
     space._check_index(i)
@@ -172,7 +183,8 @@ def angular_momentum(space: IndexSpace, i: int, j: int, variant: str = "J") -> E
     out = base_i * _p_upper(space, j) - base_j * _p_upper(space, i)
     if variant == "J":
         out = out - _theta_pi_term(space, i, j) + _theta_pi_term(space, j, i)
-    return normal_form(out, space.table)
+    out = space._memo[key] = normal_form(out, space.table)
+    return out
 
 
 def _p_upper(space: IndexSpace, mu: int) -> Expression:

@@ -567,10 +567,15 @@ def oscillator_suite(p: dict) -> list[CheckResult]:
                      abs(value - oracle.value), quad_tol, t0)
 
     t0 = time.perf_counter()
-    cfg3 = oscillator.OscillatorConfig(D=3)
-    x2 = oscillator.x2_expectation(cfg3, 1.5, 1.5)
+    cfg3 = oscillator.OscillatorConfig(
+        m=p["m"], omega=p["omega"], Lambda=p["Lambda"], Omega=p["Omega"], D=3
+    )
+    # ground state of the X oscillator: <X^2> = D/(2 m omega), <p^2> = D m omega/2
+    mw = p["m"] * p["omega"]
+    X2, p2 = 3 / (2 * mw), 3 * mw / 2
+    x2 = oscillator.x2_expectation(cfg3, X2, p2)
     s.record("x2-spread-ground-state-D3", "coordinate-spread",
-             0.0 if x2 >= 1.5 else 1.0, 0, t0)
+             0.0 if x2 >= X2 else 1.0, 0, t0)
     return s.checks
 
 

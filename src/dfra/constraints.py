@@ -227,8 +227,14 @@ def classify(ps: PhaseSpace, cs: ConstraintSet) -> str:
 class DiracBracket:
     """Dirac bracket for a fixed second-class constraint set.
 
-    Precomputes the inverse constraint matrix once; instances are immutable
-    and safe to share.
+    Precomputes the inverse constraint matrix once.  The column
+    [{A, Xi^a}] of each argument A is computed on first use and kept, and
+    the other side comes from the same column, {Xi^b, B} = -{B, Xi^b}; so a
+    run of brackets with shared arguments (all pairs of generators, one
+    argument against every constraint) brackets each argument with the
+    constraints once.  The memo holds only expressions, which are immutable
+    and exact, and a cached column equals a fresh one, so instances behave
+    as immutable and stay safe to share.
     """
 
     def __init__(self, ps: PhaseSpace, cs: ConstraintSet):
@@ -238,18 +244,27 @@ class DiracBracket:
         if delta.size == 0:
             raise NotSecondClassError("empty constraint set")
         self.delta_inv = delta.inverse()
+        self._columns: dict[Expression, tuple[Expression, ...]] = {}
+
+    def _column(self, A: Expression) -> tuple[Expression, ...]:
+        """({A, Xi^a} for each constraint Xi^a), memoized per argument."""
+        col = self._columns.get(A)
+        if col is None:
+            t = self.ps.table
+            col = self._columns[A] = tuple(bracket(A, xi, t) for xi in self.cs.constraints)
+        return col
 
     def __call__(self, A: Expression, B: Expression) -> Expression:
         t = self.ps.table
         out = bracket(A, B, t)
-        a_side = [bracket(A, xi, t) for xi in self.cs.constraints]
-        b_side = [bracket(xi, B, t) for xi in self.cs.constraints]
+        a_side = self._column(A)
+        b_side = self._column(B)  # {B, Xi^b} = -{Xi^b, B}
         for a, row in enumerate(self.delta_inv):
             if a_side[a].is_zero():
                 continue
             for b, coeff in enumerate(row):
                 if coeff and not b_side[b].is_zero():
-                    out = out - a_side[a] * b_side[b] * coeff
+                    out = out + a_side[a] * b_side[b] * coeff
         return normal_form(out, t)
 
 

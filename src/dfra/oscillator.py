@@ -44,8 +44,11 @@ class OscillatorConfig:
     D: int = 3
 
     def __post_init__(self):
-        if min(self.m, self.omega, self.Lambda, self.Omega) <= 0:
-            raise ValueError("oscillator parameters must be positive")
+        for name in ("m", "omega", "Lambda", "Omega"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):  # NaN fails both
+                raise ValueError(f"oscillator parameter {name} must be finite and "
+                                 f"positive, got {value}")
         if self.D < 2:
             raise ValueError("D must be >= 2")
 

@@ -59,11 +59,29 @@ def test_nan_never_passes_a_check():
 
 
 def test_nan_lambda_fails_every_oscillator_check_that_reads_it():
-    report = run_suite("oscillator", {**parse_params([]), "Lambda": math.nan})
-    passing = {c["name"] for c in report["checks"] if c["status"] == "pass"}
-    # the vacuum shift D(D-1) Omega / 4 and the x2 spread at default
-    # parameters do not read Lambda
-    assert passing == {"vacuum-shift-D2", "vacuum-shift-D3", "x2-spread-ground-state-D3"}
+    # the oscillator configuration rejects it before any check runs
+    with pytest.raises(ValueError, match="Lambda"):
+        run_suite("oscillator", {**parse_params([]), "Lambda": math.nan})
+
+
+def test_x2_spread_uses_the_run_parameters(monkeypatch):
+    from dfra import oscillator
+
+    seen = []
+    original = oscillator.x2_expectation
+
+    def spy(cfg, X2, p2):
+        seen.append((cfg, X2, p2))
+        return original(cfg, X2, p2)
+
+    monkeypatch.setattr(oscillator, "x2_expectation", spy)
+    params = parse_params(["Lambda=2.5", "Omega=0.5", "m=2", "omega=0.75"])
+    report = run_suite("oscillator", params)
+    (cfg, X2, p2), = seen
+    assert (cfg.D, cfg.m, cfg.omega, cfg.Lambda, cfg.Omega) == (3, 2.0, 0.75, 2.5, 0.5)
+    assert (X2, p2) == (1.0, 2.25)  # D/(2 m omega), D m omega / 2
+    record = next(c for c in report["checks"] if c["name"] == "x2-spread-ground-state-D3")
+    assert record["status"] == "pass"
 
 
 def test_report_json_writes_nonfinite_residuals_as_null():

@@ -1,0 +1,172 @@
+"""Every fast path equals its slow definition.
+
+The derivation-rule bracket is compared with normal-ordering ab - ba
+(commutator tables) and with the Leibniz recursion (Poisson tables); the
+per-space memos of X, l/L/J and M with operators built on a fresh space; the
+memoized Dirac bracket with its unmemoized formula.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dfra import algebra, constraints
+from dfra.symcore import ONE, Expression, GaussRat, bracket, normal_form
+
+QUANTUM = {
+    "D2": algebra.build(2),
+    "D3": algebra.build(3),
+    "D4": algebra.build(4),
+    "relativistic": algebra.build(3, relativistic=True),
+}
+CLASSICAL = {
+    "D2": constraints.build_phase_space(2),
+    "D3": constraints.build_phase_space(3),
+    "relativistic": constraints.build_phase_space(3, relativistic=True),
+}
+
+_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_COEFFS = st.builds(GaussRat, _FRACTIONS, _FRACTIONS)
+
+
+def expressions(space, max_len=3, max_terms=4):
+    """Sums of arbitrary (unordered) words over the space's generators."""
+    gens = sorted({g for e in space.generators() for g in e.generators()},
+                  key=lambda g: g.sort_key)
+    words = st.lists(st.sampled_from(gens), max_size=max_len).map(tuple)
+    return st.dictionaries(words, _COEFFS, min_size=1, max_size=max_terms).map(Expression)
+
+
+def _space_and_pair(spaces, **kw):
+    return st.sampled_from(sorted(spaces)).flatmap(
+        lambda name: st.tuples(st.just(spaces[name]), expressions(spaces[name], **kw),
+                               expressions(spaces[name], **kw)))
+
+
+# -- brackets -------------------------------------------------------------------
+
+
+@given(_space_and_pair(QUANTUM))
+@settings(max_examples=120, deadline=None)
+def test_commutator_bracket_is_normal_ordered_ab_minus_ba(case):
+    space, a, b = case
+    t = space.table
+    assert bracket(a, b, t) == normal_form(a * b - b * a, t)
+
+
+def _leibniz_words(u, v, table):
+    """{u, v} for monomial words by the Leibniz rule, recursing on word length."""
+    if not u or not v:
+        return Expression.zero()
+    if len(u) == 1 and len(v) == 1:
+        return table.entry(u[0], v[0])
+    if len(u) > 1:
+        a, rest = Expression({u[:1]: ONE}), Expression({u[1:]: ONE})
+        return a * _leibniz_words(u[1:], v, table) + _leibniz_words(u[:1], v, table) * rest
+    c, rest = Expression({v[:1]: ONE}), Expression({v[1:]: ONE})
+    return c * _leibniz_words(u, v[1:], table) + _leibniz_words(u, v[:1], table) * rest
+
+
+def _leibniz_bracket(a, b, table):
+    out = Expression.zero()
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            out = out + _leibniz_words(wa, wb, table) * (ca * cb)
+    return normal_form(out, table)
+
+
+@given(_space_and_pair(CLASSICAL))
+@settings(max_examples=120, deadline=None)
+def test_poisson_bracket_is_the_leibniz_recursion(case):
+    space, a, b = case
+    assert bracket(a, b, space.table) == _leibniz_bracket(a, b, space.table)
+
+
+# -- derived-operator memos -------------------------------------------------------
+
+
+def _operators(space):
+    """(key, builder) for X and every angular-momentum variant on the space."""
+    idx = space.indices
+    out = [(("X", mu), lambda s, mu=mu: algebra.shifted_coordinate(s, mu)) for mu in idx]
+    for variant in ("little-l", "L", "J"):
+        out += [((variant, i, j), lambda s, i=i, j=j, v=variant:
+                 algebra.angular_momentum(s, i, j, v))
+                for i in idx for j in idx if i != j]
+    return out
+
+
+def _fresh(space):
+    if isinstance(space, constraints.PhaseSpace):
+        return constraints.build_phase_space(space.D, space.relativistic)
+    return algebra.build(space.D, space.relativistic)
+
+
+@pytest.mark.parametrize("space", [*QUANTUM.values(), *CLASSICAL.values()],
+                         ids=[*(f"quantum-{k}" for k in QUANTUM),
+                              *(f"classical-{k}" for k in CLASSICAL)])
+def test_memoized_operators_equal_ones_built_on_a_fresh_space(space):
+    shared = _fresh(space)
+    # fill the memo in closure order first, as the suites do
+    idx = list(shared.indices)
+    for i, j, k, l in [(idx[0], idx[1], idx[1], idx[-1]), (idx[-1], idx[0], idx[0], idx[1])]:
+        algebra.closure_residual(shared, lambda a, b: bracket(a, b, shared.table),
+                                 "J", 1, i, j, k, l)
+    for key, build in _operators(shared):
+        memoized = build(shared)
+        assert build(shared) is memoized
+        assert shared._memo[key] is memoized
+        assert memoized == build(_fresh(space))
+    if shared.relativistic and isinstance(shared, algebra.DfraAlgebra):
+        fresh = _fresh(space)
+        for i in idx:
+            for j in idx:
+                if i != j:
+                    assert (algebra.lorentz_generator(shared, i, j)
+                            == algebra.lorentz_generator(fresh, i, j))
+
+
+def test_memo_is_not_part_of_the_space_value():
+    space = algebra.build(2)
+    before = (repr(space), hash(space))
+    algebra.angular_momentum(space, 1, 2)
+    assert space._memo
+    assert (repr(space), hash(space)) == before
+    assert "_memo" not in repr(space)
+
+
+def test_memo_does_not_cache_invalid_requests():
+    space = algebra.build(2)
+    for args in ((1, 1, "J"), (1, 3, "J"), (1, 2, "spin")):
+        with pytest.raises((ValueError, IndexError)):
+            algebra.angular_momentum(space, *args)
+    with pytest.raises(IndexError):
+        algebra.shifted_coordinate(space, 0)
+    assert space._memo == {}
+
+
+# -- Dirac bracket memo ---------------------------------------------------------
+
+PS = CLASSICAL["D3"]
+DB = constraints.DiracBracket(PS, constraints.dfra_constraints(PS))
+
+
+def _dirac_reference(db, A, B):
+    """{A, B} - {A, Xi^a} Dinv_ab {Xi^b, B}, every bracket computed afresh."""
+    t, xis = db.ps.table, db.cs.constraints
+    out = bracket(A, B, t)
+    for a, row in enumerate(db.delta_inv):
+        for b, coeff in enumerate(row):
+            out = out - bracket(A, xis[a], t) * bracket(xis[b], B, t) * coeff
+    return normal_form(out, t)
+
+
+@given(expressions(PS, max_len=2), expressions(PS, max_len=2))
+@settings(max_examples=60, deadline=None)
+def test_memoized_dirac_bracket_equals_the_unmemoized_formula(A, B):
+    expect = _dirac_reference(DB, A, B)
+    assert DB(A, B) == expect
+    assert DB(A, B) == expect  # second call reads both columns from the memo
+    assert DB(B, A) == -expect

@@ -65,6 +65,13 @@ def test_energy_monotone_and_theta_gap():
     assert energy(CFG3, one_theta) - energy(CFG3, base) == pytest.approx(CFG3.Omega)
 
 
+@pytest.mark.parametrize("name", ["m", "omega", "Lambda", "Omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_config_rejects_nonfinite_or_nonpositive_parameters(name, value):
+    with pytest.raises(ValueError, match=name):
+        OscillatorConfig(D=3, **{name: value})
+
+
 def test_occupation_validation():
     with pytest.raises(ValueError):
         Occupation((0, -1, 0), (0, 0, 0))
