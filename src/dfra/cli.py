@@ -3,12 +3,15 @@
     dfra run --suite all --format json --out report.json
     dfra eval "[x[1], pi[1,2]]" --table dfra --set D=3
 
-Each suite re-drives the library's own operations and emits one record per
-check: name, reference tag, pass/fail, residual, tolerance, runtime.  The
-reference tags resolve through the REFERENCES registry below, mapping each
-check to the piece of structure it verifies ("plumbing" marks pure artifact
-checks).  Reports are deterministic for a fixed seed apart from the
-generated-at timestamp and the per-check runtimes.
+Each suite re-drives the library's own operations and yields one
+(name, reference tag, residual, tolerance) per check as soon as it has
+computed it.  `_timed` turns what a suite yields into records (name,
+reference tag, pass/fail, residual, tolerance, runtime); no suite reads the
+clock, so every runtime is measured the same way.  The reference tags
+resolve through the REFERENCES registry below, mapping each check to the
+piece of structure it verifies ("plumbing" marks pure artifact checks).
+Reports are deterministic for a fixed seed apart from the generated-at
+timestamp and the per-check runtimes.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error.
 """
@@ -46,7 +49,6 @@ from .symcore import (
 REPORT_SCHEMA = "dfra-report/v1"
 
 REFERENCES = {
-    "dfra-commutators": "defining commutator table of the extended algebra",
     "dfra-jacobi": "Jacobi identity over all generator triples",
     "shifted-coordinate": "commuting shifted coordinate X and its brackets",
     "so-closure": "SO(D) closure of the total angular momentum J",
@@ -54,9 +56,7 @@ REFERENCES = {
     "rotation-transforms": "infinitesimal rotations generated by J",
     "lorentz-generator": "extended Lorentz generator M and its algebra",
     "quantum-conditions": "Planck-scale constraints on the theta eigenvalue matrix",
-    "poisson-structure": "canonical Poisson brackets of the enlarged phase space",
     "constraint-matrix": "second-class constraint matrix block form",
-    "dirac-brackets": "Dirac bracket table from the second-class constraints",
     "dirac-constraint-surface": "vanishing Dirac brackets with the constraints",
     "dirac-quantization": "i times Dirac table equals the commutator table",
     "classical-so-closure": "classical SO(D) closure of J under Dirac brackets",
@@ -73,7 +73,6 @@ REFERENCES = {
     "oscillator-moments": "Gaussian theta-sector moments against oracles",
     "weight-function": "normalized weight function from the ground state",
     "coordinate-spread": "noncommutative enlargement of the coordinate spread",
-    "dispersion": "frequency of plane waves in the extended space",
     "propagator": "momentum-space Green's function and its poles",
     "kg-lattice": "lattice wave operator consistency and convergence",
     "greens-solve": "spectral source inversion residual",
@@ -107,12 +106,19 @@ class CheckResult:
         )
 
 
-class _Suite:
-    def __init__(self):
-        self.checks: list[CheckResult] = []
+def _timed(checks) -> list[CheckResult]:
+    """Records of the (name, ref, residual, tolerance) tuples a suite yields.
 
-    def record(self, name, ref, residual, tolerance, started):
-        self.checks.append(CheckResult.build(name, ref, residual, tolerance, started))
+    A record's runtime runs from the end of the previous record, or from the
+    start of the suite for the first one, so a suite's setup counts toward
+    its first record.
+    """
+    results = []
+    started = time.perf_counter()
+    for name, ref, residual, tolerance in checks:
+        results.append(CheckResult.build(name, ref, residual, tolerance, started))
+        started = time.perf_counter()
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +195,20 @@ def _zero_expr_residual(exprs) -> float:
     return float(sum(0 if e.is_zero() else 1 for e in exprs))
 
 
-def algebra_suite(p: dict, *, shared: bool = True) -> list[CheckResult]:
+def algebra_suite(p: dict, *, shared: bool = True):
     """The algebra checks at D = p["D"]; shared=False leaves out the three
     that do not depend on D (relativistic Jacobi, Lorentz closure, quantum conditions)."""
-    s = _Suite()
     D = p["D"]
 
-    t0 = time.perf_counter()
     alg = algebra.build(D)
-    failures = sum(0 if r.is_zero() else 1 for *_, r in algebra.jacobi_suite(alg))
-    s.record(f"jacobi-exhaustive-D{D}", "dfra-jacobi", failures, 0, t0)
+    failures = _zero_expr_residual(r for *_, r in algebra.jacobi_suite(alg))
+    yield f"jacobi-exhaustive-D{D}", "dfra-jacobi", failures, 0
 
     if shared:
-        t0 = time.perf_counter()
         rel = algebra.build(3, relativistic=True)
-        failures = sum(0 if r.is_zero() else 1 for *_, r in algebra.jacobi_suite(rel))
-        s.record("jacobi-exhaustive-relativistic-4d", "dfra-jacobi", failures, 0, t0)
+        failures = _zero_expr_residual(r for *_, r in algebra.jacobi_suite(rel))
+        yield "jacobi-exhaustive-relativistic-4d", "dfra-jacobi", failures, 0
 
-    t0 = time.perf_counter()
     bad = []
     for i in alg.indices:
         X = algebra.shifted_coordinate(alg, i)
@@ -214,28 +216,25 @@ def algebra_suite(p: dict, *, shared: bool = True) -> list[CheckResult]:
             expect = Expression.scalar(I) if i == j else Expression.zero()
             bad.append(bracket(X, alg.p(j), alg.table) - expect)
             bad.append(bracket(X, algebra.shifted_coordinate(alg, j), alg.table))
-    s.record(f"shifted-coordinate-D{D}", "shifted-coordinate",
-             _zero_expr_residual(bad), 0, t0)
+    yield (f"shifted-coordinate-D{D}", "shifted-coordinate",
+           _zero_expr_residual(bad), 0)
 
-    t0 = time.perf_counter()
     idx = list(alg.indices)
     residuals = [
         algebra.so_closure_residual(alg, i, j, k, l)
         for i in idx for j in idx for k in idx for l in idx
         if i != j and k != l
     ]
-    s.record(f"j-closure-D{D}", "so-closure", _zero_expr_residual(residuals), 0, t0)
+    yield f"j-closure-D{D}", "so-closure", _zero_expr_residual(residuals), 0
 
-    t0 = time.perf_counter()
     diffs = []
     for (i, j, k, l) in [(1, 2, 2, 1), (1, 2, 2, 3)] if D >= 3 else [(1, 2, 2, 1)]:
         got = algebra.little_l_residual(alg, i, j, k, l)
         expect = algebra.little_l_theta_terms(alg, i, j, k, l)
         diffs.append(got - expect)
-    s.record(f"little-l-residual-D{D}", "little-l-obstruction",
-             _zero_expr_residual(diffs), 0, t0)
+    yield (f"little-l-residual-D{D}", "little-l-obstruction",
+           _zero_expr_residual(diffs), 0)
 
-    t0 = time.perf_counter()
     eps = [[Fraction(0)] * D for _ in range(D)]
     eps[0][1], eps[1][0] = Fraction(1), Fraction(-1)
     bad = [
@@ -243,36 +242,31 @@ def algebra_suite(p: dict, *, shared: bool = True) -> list[CheckResult]:
         algebra.rotate(alg, eps, alg.p(1)) - normal_form(alg.p(2), alg.table),
         algebra.rotate(alg, eps, Expression.scalar(1)),
     ]
-    s.record(f"rotation-transforms-D{D}", "rotation-transforms",
-             _zero_expr_residual(bad), 0, t0)
+    yield (f"rotation-transforms-D{D}", "rotation-transforms",
+           _zero_expr_residual(bad), 0)
 
     if not shared:
-        return s.checks
+        return
 
-    t0 = time.perf_counter()
     pairs = list(combinations(rel.indices, 2))
     residuals = [algebra.so_closure_residual(rel, *a, *b) for a in pairs for b in pairs]
-    s.record("lorentz-generator-closure", "lorentz-generator",
-             _zero_expr_residual(residuals), 0, t0)
+    yield ("lorentz-generator-closure", "lorentz-generator",
+           _zero_expr_residual(residuals), 0)
 
-    t0 = time.perf_counter()
     lp = 1.0
     theta = np.zeros((4, 4))
     theta[0, 1] = theta[2, 3] = lp**2
     theta -= theta.T
     r1, r2 = algebra.quantum_conditions(theta, lp)
-    s.record("quantum-conditions-selfdual", "quantum-conditions",
-             abs(r1) + abs(r2), 1e-12, t0)
-    return s.checks
+    yield ("quantum-conditions-selfdual", "quantum-conditions",
+           abs(r1) + abs(r2), 1e-12)
 
 
-def constraints_suite(p: dict) -> list[CheckResult]:
-    s = _Suite()
+def constraints_suite(p: dict):
     D = p["D"]
     ps = constraints.build_phase_space(D)
     cs = constraints.dfra_constraints(ps)
 
-    t0 = time.perf_counter()
     delta = constraints.constraint_matrix(ps, cs).scalar_matrix()
     mism = 0
     for a in range(2 * D):
@@ -280,10 +274,9 @@ def constraints_suite(p: dict) -> list[CheckResult]:
             expect = 1 if b == a + D else (-1 if a == b + D else 0)
             mism += delta[a][b] != GaussRat(expect)
     ok = constraints.classify(ps, cs) == "second-class"
-    s.record(f"constraint-matrix-D{D}", "constraint-matrix",
-             mism + (0 if ok else 1), 0, t0)
+    yield (f"constraint-matrix-D{D}", "constraint-matrix",
+           mism + (0 if ok else 1), 0)
 
-    t0 = time.perf_counter()
     db = constraints.DiracBracket(ps, cs)
     alg = algebra.build(D)
     mism = 0
@@ -293,9 +286,8 @@ def constraints_suite(p: dict) -> list[CheckResult]:
             mapped = Expression({w: c * I for w, c in db(ca, cb).terms.items()})
             if bracket(qa, qb, alg.table) != normal_form(mapped, alg.table):
                 mism += 1
-    s.record(f"dirac-quantization-D{D}", "dirac-quantization", mism, 0, t0)
+    yield f"dirac-quantization-D{D}", "dirac-quantization", mism, 0
 
-    t0 = time.perf_counter()
     rng = random.Random(p["seed"])
     gens = [g for e in ps.generators() for g in e.generators()]
     bad = 0
@@ -310,20 +302,18 @@ def constraints_suite(p: dict) -> list[CheckResult]:
         for xi in cs.constraints:
             if not db(A, xi).is_zero():
                 bad += 1
-    s.record(f"dirac-constraint-surface-D{D}", "dirac-constraint-surface",
-             bad, 0, t0)
+    yield (f"dirac-constraint-surface-D{D}", "dirac-constraint-surface",
+           bad, 0)
 
-    t0 = time.perf_counter()
     idx = list(ps.indices)
     residuals = [
         constraints.classical_j_closure_residual(db, i, j, k, l)
         for i in idx for j in idx for k in idx for l in idx
         if i != j and k != l
     ]
-    s.record(f"classical-j-closure-D{D}", "classical-so-closure",
-             _zero_expr_residual(residuals), 0, t0)
+    yield (f"classical-j-closure-D{D}", "classical-so-closure",
+           _zero_expr_residual(residuals), 0)
 
-    t0 = time.perf_counter()
     H = constraints.standard_hamiltonian(ps, m=1, omega=1, Lambda=1, Omega=1)
     bad = [
         constraints.hamiltonian_flow(ps, cs, H, constraints.shifted_coordinate(ps, 1))
@@ -331,10 +321,9 @@ def constraints_suite(p: dict) -> list[CheckResult]:
         constraints.hamiltonian_flow(ps, cs, H, ps.theta(1, 2)) - ps.pi(1, 2),
         constraints.hamiltonian_flow(ps, cs, H, H),
     ]
-    s.record(f"hamiltonian-flow-D{D}", "hamiltonian-flow",
-             _zero_expr_residual([normal_form(b, ps.table) for b in bad]), 0, t0)
+    yield (f"hamiltonian-flow-D{D}", "hamiltonian-flow",
+           _zero_expr_residual([normal_form(b, ps.table) for b in bad]), 0)
 
-    t0 = time.perf_counter()
     psr = constraints.build_phase_space(3, relativistic=True)
     csr = constraints.dfra_constraints(psr)
     deltar = constraints.constraint_matrix(psr, csr).scalar_matrix()
@@ -344,15 +333,12 @@ def constraints_suite(p: dict) -> list[CheckResult]:
         for b in range(n):
             mism += deltar[a][b + n] != GaussRat(psr.metric(a, b))
             mism += deltar[a + n][b] != GaussRat(-psr.metric(a, b))
-    s.record("constraint-matrix-relativistic", "constraint-matrix", mism, 0, t0)
-    return s.checks
+    yield "constraint-matrix-relativistic", "constraint-matrix", mism, 0
 
 
-def reps_suite(p: dict) -> list[CheckResult]:
-    s = _Suite()
+def reps_suite(p: dict):
     rng = random.Random(p["seed"])
 
-    t0 = time.perf_counter()
     mism = 0
     for _ in range(100):
         g1 = reps.random_exact_element(rng)
@@ -363,9 +349,8 @@ def reps_suite(p: dict) -> list[CheckResult]:
             rhs = rep(g12)
             if any(a != b for a, b in zip(lhs.flat, rhs.flat)):
                 mism += 1
-    s.record("rep-homomorphism-100", "rep-homomorphism", mism, 0, t0)
+    yield "rep-homomorphism-100", "rep-homomorphism", mism, 0
 
-    t0 = time.perf_counter()
     mism = 0
     for _ in range(25):
         e1 = _random_infinitesimal(rng)
@@ -375,9 +360,8 @@ def reps_suite(p: dict) -> list[CheckResult]:
         diff = g1.dot(g2) - g2.dot(g1) - g3
         if any(x != 0 for x in diff.flat):
             mism += 1
-    s.record("infinitesimal-closure-25", "rep-infinitesimal", mism, 0, t0)
+    yield "infinitesimal-closure-25", "rep-infinitesimal", mism, 0
 
-    t0 = time.perf_counter()
     nrng = np.random.default_rng(p["seed"])
     k = np.array([2.0, 0.3, -0.5, 0.1])
     K = reps.vec_to_mat(nrng.normal(0, 1, 6))
@@ -387,17 +371,14 @@ def reps_suite(p: dict) -> list[CheckResult]:
         lam = reps.random_float_lorentz(nrng)
         c1b, _, c3b, _ = reps.casimirs(lam.dot(k), lam.dot(K).dot(lam.T))
         worst = _worst(worst, abs(c1b - c1), abs(c3b - c3))
-    s.record("casimir-invariance-100", "casimirs", worst, 1e-10, t0)
+    yield "casimir-invariance-100", "casimirs", worst, 1e-10
 
-    t0 = time.perf_counter()
     resid = _scalar_transform_commutator_residual()
-    s.record("scalar-transform-commutator", "scalar-transform", resid, 1e-9, t0)
-    return s.checks
+    yield "scalar-transform-commutator", "scalar-transform", resid, 1e-9
 
 
 def _random_infinitesimal(rng: random.Random):
-    w_up = np.array([[Fraction(0)] * 4 for _ in range(4)], dtype=object)
-    b = np.array([[Fraction(0)] * 4 for _ in range(4)], dtype=object)
+    w_up, b = reps._zeros((4, 4), object), reps._zeros((4, 4), object)
     for mu, nu in reps.PAIRS:
         v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         w_up[mu, nu], w_up[nu, mu] = v, -v
@@ -446,25 +427,20 @@ def _scalar_transform_commutator_residual() -> float:
     return float(np.abs(comm - apply(e3, f.values)).max())
 
 
-def clifford_suite(p: dict) -> list[CheckResult]:
-    s = _Suite()
+def clifford_suite(p: dict):
     gs = clifford.build_gammas()
     sg = clifford.spinor_generator(gs)
 
-    t0 = time.perf_counter()
-    s.record("anticommutators-100", "clifford-anticommutators",
-             clifford.anticommutator_residual(gs), 1e-12, t0)
+    yield ("anticommutators-100", "clifford-anticommutators",
+           clifford.anticommutator_residual(gs), 1e-12)
 
-    t0 = time.perf_counter()
-    s.record("spinor-lorentz-closure", "spinor-generator",
-             clifford.lorentz_closure_residual(sg), 1e-12, t0)
+    yield ("spinor-lorentz-closure", "spinor-generator",
+           clifford.lorentz_closure_residual(sg), 1e-12)
 
-    t0 = time.perf_counter()
     resid = _worst(clifford.vector_covariance_residual(gs, sg),
                    clifford.pair_covariance_residual(gs, sg))
-    s.record("covariance-commutators", "spinor-generator", resid, 1e-12, t0)
+    yield "covariance-commutators", "spinor-generator", resid, 1e-12
 
-    t0 = time.perf_counter()
     rng = np.random.default_rng(p["seed"])
     worst = 0.0
     for _ in range(100):
@@ -473,34 +449,28 @@ def clifford_suite(p: dict) -> list[CheckResult]:
         lam = rng.uniform(0.1, 2.0)
         m = rng.uniform(0.1, 2.0)
         worst = _worst(worst, clifford.dirac_square_residual(gs, k, K, lam, m))
-    s.record("dirac-square-scalar-100", "dirac-operator", worst, 1e-12, t0)
+    yield "dirac-square-scalar-100", "dirac-operator", worst, 1e-12
 
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
         omega = reps.vec_to_mat(rng.normal(0, 0.2, 6))
         worst = _worst(worst, clifford.intertwining_residual(gs, omega))
-    s.record("boost-intertwining-10", "spinor-boost", worst, 1e-10, t0)
+    yield "boost-intertwining-10", "spinor-boost", worst, 1e-10
 
-    t0 = time.perf_counter()
     omega = np.zeros((4, 4))
     omega[1, 2] = 2.0 * np.pi
     omega -= omega.T
     S = clifford.spinor_boost(gs, omega)
-    s.record("two-pi-rotation-minus-identity", "spinor-boost",
-             float(np.abs(S + np.eye(32)).max()), 1e-10, t0)
-    return s.checks
+    yield ("two-pi-rotation-minus-identity", "spinor-boost",
+           float(np.abs(S + np.eye(32)).max()), 1e-10)
 
 
-def oscillator_suite(p: dict) -> list[CheckResult]:
-    s = _Suite()
+def oscillator_suite(p: dict):
     quad_tol = 1e-8
+    cfgs = {D: oscillator.OscillatorConfig(m=p["m"], omega=p["omega"], Lambda=p["Lambda"],
+                                           Omega=p["Omega"], D=D) for D in (2, 3)}
 
-    for D in (2, 3):
-        cfg = oscillator.OscillatorConfig(
-            m=p["m"], omega=p["omega"], Lambda=p["Lambda"], Omega=p["Omega"], D=D
-        )
-        t0 = time.perf_counter()
+    for D, cfg in cfgs.items():
         worst = 0.0
         M = cfg.n_modes
         est = oscillator.moment_oracle(cfg, oscillator.monomial((0,) * M))
@@ -515,23 +485,20 @@ def oscillator_suite(p: dict) -> list[CheckResult]:
             worst = _worst(worst, abs(est.value - oscillator.moment(cfg, "theta_ij_theta_kl")))
         est = oscillator.moment_oracle(cfg, lambda th: (th * th).sum(axis=-1))
         worst = _worst(worst, abs(est.value - oscillator.moment(cfg, "theta2")))
-        s.record(f"moments-vs-quadrature-D{D}", "oscillator-moments", worst, quad_tol, t0)
+        yield f"moments-vs-quadrature-D{D}", "oscillator-moments", worst, quad_tol
 
-        t0 = time.perf_counter()
         mc = oscillator.moment_oracle(
             cfg, oscillator.monomial((2,) + (0,) * (M - 1)),
             "monte-carlo", samples=p["samples"], seed=p["seed"],
         )
         dev = abs(mc.value - oscillator.moment(cfg, "theta_ij_theta_kl"))
-        s.record(f"moments-vs-monte-carlo-D{D}", "oscillator-moments",
-                 dev, 3.0 * mc.error, t0)
+        yield (f"moments-vs-monte-carlo-D{D}", "oscillator-moments",
+               dev, 3.0 * mc.error)
 
-        t0 = time.perf_counter()
         shift = oscillator.vacuum_shift(cfg)
-        s.record(f"vacuum-shift-D{D}", "oscillator-spectrum",
-                 abs(shift - D * (D - 1) * cfg.Omega / 4.0), 0, t0)
+        yield (f"vacuum-shift-D{D}", "oscillator-spectrum",
+               abs(shift - D * (D - 1) * cfg.Omega / 4.0), 0)
 
-        t0 = time.perf_counter()
         rng = np.random.default_rng(p["seed"])
         worst = 0.0
         for _ in range(20):
@@ -539,23 +506,17 @@ def oscillator_suite(p: dict) -> list[CheckResult]:
             w = oscillator.weight_function(cfg, theta)
             psi2 = abs(oscillator.ground_wavefunction(cfg, theta, 0.0)) ** 2
             worst = _worst(worst, abs(w - psi2))
-        s.record(f"weight-is-wavefunction-squared-D{D}", "weight-function",
-                 worst, 1e-12, t0)
+        yield (f"weight-is-wavefunction-squared-D{D}", "weight-function",
+               worst, 1e-12)
 
-    t0 = time.perf_counter()
-    cfg2 = oscillator.OscillatorConfig(Lambda=p["Lambda"], Omega=p["Omega"], D=2)
-    theta2 = oscillator.moment(cfg2, "theta2")
-    s.record("theta2-closed-form-D2", "oscillator-moments",
-             abs(theta2 - 1.0 / (2.0 * p["Lambda"] * p["Omega"])), 0, t0)
+    theta2 = oscillator.moment(cfgs[2], "theta2")
+    yield ("theta2-closed-form-D2", "oscillator-moments",
+           abs(theta2 - 1.0 / (2.0 * p["Lambda"] * p["Omega"])), 0)
 
     # moment table records: the evaluated values ride in the record names
-    for D in (2, 3):
-        cfg = oscillator.OscillatorConfig(
-            m=p["m"], omega=p["omega"], Lambda=p["Lambda"], Omega=p["Omega"], D=D
-        )
+    for D, cfg in cfgs.items():
         for label, which in (("theta2", "theta2"),
                              ("pair-moment", "theta_ij_theta_kl")):
-            t0 = time.perf_counter()
             value = oscillator.moment(cfg, which)
             oracle = oscillator.moment_oracle(
                 cfg,
@@ -563,27 +524,20 @@ def oscillator_suite(p: dict) -> list[CheckResult]:
                 if which == "theta2"
                 else oscillator.monomial((2,) + (0,) * (cfg.n_modes - 1)),
             )
-            s.record(f"moment-{label}-D{D} = {value:g}", "oscillator-moments",
-                     abs(value - oracle.value), quad_tol, t0)
+            yield (f"moment-{label}-D{D} = {value:g}", "oscillator-moments",
+                   abs(value - oracle.value), quad_tol)
 
-    t0 = time.perf_counter()
-    cfg3 = oscillator.OscillatorConfig(
-        m=p["m"], omega=p["omega"], Lambda=p["Lambda"], Omega=p["Omega"], D=3
-    )
     # ground state of the X oscillator: <X^2> = D/(2 m omega), <p^2> = D m omega/2
     mw = p["m"] * p["omega"]
     X2, p2 = 3 / (2 * mw), 3 * mw / 2
-    x2 = oscillator.x2_expectation(cfg3, X2, p2)
-    s.record("x2-spread-ground-state-D3", "coordinate-spread",
-             0.0 if x2 >= X2 else 1.0, 0, t0)
-    return s.checks
+    x2 = oscillator.x2_expectation(cfgs[3], X2, p2)
+    yield ("x2-spread-ground-state-D3", "coordinate-spread",
+           0.0 if x2 >= X2 else 1.0, 0)
 
 
-def field_suite(p: dict) -> list[CheckResult]:
-    s = _Suite()
+def field_suite(p: dict):
     lam, m = p["lambda"], p["m"]
 
-    t0 = time.perf_counter()
     residuals = []
     for n in (12, 24, 48):
         dx = 2.0 * np.pi / n
@@ -591,9 +545,8 @@ def field_suite(p: dict) -> list[CheckResult]:
         residuals.append(float(np.abs(field.kg_apply(f)).max()))
     slopes = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     worst = _worst(*(abs(sl - 2.0) for sl in slopes))
-    s.record("kg-residual-order-2", "kg-lattice", worst, 0.1, t0)
+    yield "kg-residual-order-2", "kg-lattice", worst, 0.1
 
-    t0 = time.perf_counter()
     shape = (p["nt"], p["nx"], p["ntheta"])
     J = np.zeros(shape, dtype=complex)
     J[shape[0] // 3, shape[1] // 2, shape[2] // 2] = 1.0
@@ -602,10 +555,9 @@ def field_suite(p: dict) -> list[CheckResult]:
         warnings.simplefilter("ignore", field.IllConditionedWarning)
         phi = field.greens_solve(src)
     resid = np.abs(field.kg_apply(phi) - src.values[1:-1, 1:-1, 1:-1]).max()
-    s.record("greens-residual", "greens-solve",
-             float(resid / np.abs(J).max()), 1e-6, t0)
+    yield ("greens-residual", "greens-solve",
+           float(resid / np.abs(J).max()), 1e-6)
 
-    t0 = time.perf_counter()
     nx, nq = p["nx"], p["ntheta"]
     dx = 2.0 * np.pi / nx
     dq = 2.0 * np.pi / nq
@@ -621,9 +573,8 @@ def field_suite(p: dict) -> list[CheckResult]:
             ref = getattr(first, name_)
             scale = max(abs(ref), first.P0)
             drift = _worst(drift, abs(getattr(ch, name_) - ref) / scale)
-    s.record(f"charge-drift-{p['steps']}-steps", "noether-charges", drift, 1e-6, t0)
+    yield f"charge-drift-{p['steps']}-steps", "noether-charges", drift, 1e-6
 
-    t0 = time.perf_counter()
     from scipy.optimize import brentq
 
     kvec = np.array([0.4, 0.0, 0.0])
@@ -639,9 +590,8 @@ def field_suite(p: dict) -> list[CheckResult]:
             sign * w - 0.5, sign * w + 0.5,
         )
         worst = _worst(worst, abs(root - sign * w))
-    s.record("propagator-poles-at-dispersion", "propagator", worst, 1e-10, t0)
+    yield "propagator-poles-at-dispersion", "propagator", worst, 1e-10
 
-    t0 = time.perf_counter()
     sym = field.kg_symbol((16, 12, 10), 0.05, 0.2, 0.25, lam, m)
     worst = 0.0
     for j in [(0, 1, 0), (1, 0, 1), (2, 1, 1)]:
@@ -654,9 +604,8 @@ def field_suite(p: dict) -> list[CheckResult]:
             lam,
         )
         worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real))
-    s.record("symbol-matches-propagator", "propagator", worst, 1e-9, t0)
+    yield "symbol-matches-propagator", "propagator", worst, 1e-9
 
-    t0 = time.perf_counter()
     rng = random.Random(p["seed"])
     theta = [[Fraction(0), Fraction(2, 5)], [Fraction(-2, 5), Fraction(0)]]
     x1 = field.CommutingPoly.coordinate(2, 0)
@@ -670,8 +619,7 @@ def field_suite(p: dict) -> list[CheckResult]:
         lhs = field.moyal_star(field.moyal_star(f_, g_, theta, 6), h_, theta, 6)
         rhs = field.moyal_star(f_, field.moyal_star(g_, h_, theta, 6), theta, 6)
         mism += lhs != rhs
-    s.record("moyal-commutator-and-associativity", "moyal-product", mism, 0, t0)
-    return s.checks
+    yield "moyal-commutator-and-associativity", "moyal-product", mism, 0
 
 
 def _random_cpoly(rng: random.Random):
@@ -701,11 +649,11 @@ def run_suite(suite: str, params: dict) -> dict:
     if suite == "all":
         # the D-independent algebra checks run once, with D = 2
         for D in (2, 3, 4):
-            checks += algebra_suite({**params, "D": D}, shared=D == 2)
+            checks += _timed(algebra_suite({**params, "D": D}, shared=D == 2))
         for name in ("constraints", "reps", "clifford", "oscillator", "field"):
-            checks += SUITES[name](params)
+            checks += _timed(SUITES[name](params))
     elif suite in SUITES:
-        checks += SUITES[suite](params)
+        checks += _timed(SUITES[suite](params))
     else:
         raise UsageError(f"unknown suite {suite!r}")
     passed = sum(c.status == "pass" for c in checks)

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .reps import ETA, antisymmetric
-from .symcore import GaussRat, Scalar
+from .symcore import GaussRat, Scalar, _add_term
 
 
 class TachyonicModeError(ValueError):
@@ -553,11 +553,7 @@ class CommutingPoly:
     def __add__(self, other: "CommutingPoly") -> "CommutingPoly":
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = terms.get(e, GaussRat(0)) + c
-            if acc:
-                terms[e] = acc
-            else:
-                terms.pop(e, None)
+            _add_term(terms, e, c)
         return CommutingPoly(self.n, terms)
 
     def __sub__(self, other: "CommutingPoly") -> "CommutingPoly":
@@ -571,12 +567,7 @@ class CommutingPoly:
         terms: dict[tuple[int, ...], GaussRat] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(e, GaussRat(0)) + c1 * c2
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
+                _add_term(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return CommutingPoly(self.n, terms)
 
     def diff(self, i: int) -> "CommutingPoly":

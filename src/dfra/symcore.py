@@ -204,13 +204,14 @@ class Generator:
 Word = tuple[Generator, ...]
 
 
-def _add_term(terms: dict, word: Word, coeff: GaussRat) -> None:
-    """terms[word] += coeff, dropping the word when the sum is zero."""
-    acc = terms.get(word, ZERO) + coeff
+def _add_term(terms: dict, key: tuple, coeff: GaussRat) -> None:
+    """terms[key] += coeff, dropping the key when the sum is zero (keys are words
+    here and exponent tuples in field.CommutingPoly)."""
+    acc = terms.get(key, ZERO) + coeff
     if acc:
-        terms[word] = acc
+        terms[key] = acc
     else:
-        terms.pop(word, None)
+        terms.pop(key, None)
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,8 @@ def test_criterion_9_end_to_end(tmp_path):
     assert report["summary"]["total"] > 0
     for check in report["checks"]:
         assert check["paper_ref"] in REFERENCES, check["name"]
+    # every registered tag but the artifact-only one is emitted by some check
+    assert {check["paper_ref"] for check in report["checks"]} == set(REFERENCES) - {"plumbing"}
     names = [check["name"] for check in report["checks"]]
     assert len(names) == len(set(names)), "record names repeat"
     _announce(9, f"run --suite all: {report['summary']['passed']} checks pass, "

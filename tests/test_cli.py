@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -82,6 +83,25 @@ def test_x2_spread_uses_the_run_parameters(monkeypatch):
     assert (X2, p2) == (1.0, 2.25)  # D/(2 m omega), D m omega / 2
     record = next(c for c in report["checks"] if c["name"] == "x2-spread-ground-state-D3")
     assert record["status"] == "pass"
+
+
+def test_runtime_runs_from_the_previous_record(monkeypatch):
+    """A delay inside one check is charged to that check, and only once."""
+    from dfra import clifford
+
+    original = clifford.lorentz_closure_residual
+
+    def slow(sg):
+        time.sleep(0.05)
+        return original(sg)
+
+    monkeypatch.setattr(clifford, "lorentz_closure_residual", slow)
+    started = time.perf_counter()
+    report = run_suite("clifford", parse_params([]))
+    wall = time.perf_counter() - started
+    runtimes = {c["name"]: c["runtime"] for c in report["checks"]}
+    assert runtimes["spinor-lorentz-closure"] >= 0.05
+    assert sum(runtimes.values()) <= wall
 
 
 def test_report_json_writes_nonfinite_residuals_as_null():
