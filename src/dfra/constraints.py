@@ -214,11 +214,8 @@ def constraint_matrix(ps: PhaseSpace, cs: ConstraintSet) -> ConstraintMatrix:
 
 def classify(ps: PhaseSpace, cs: ConstraintSet) -> str:
     """'second-class' iff the (scalar) constraint matrix is invertible."""
-    delta = constraint_matrix(ps, cs)
-    if delta.size == 0:
-        return "not-second-class"
     try:
-        delta.inverse()
+        DiracBracket(ps, cs)
     except NotSecondClassError:
         return "not-second-class"
     return "second-class"
@@ -227,7 +224,7 @@ def classify(ps: PhaseSpace, cs: ConstraintSet) -> str:
 class DiracBracket:
     """Dirac bracket for a fixed second-class constraint set.
 
-    Precomputes the inverse constraint matrix once.  The column
+    Builds the constraint matrix `delta` and its exact inverse once.  The column
     [{A, Xi^a}] of each argument A is computed on first use and kept, and
     the other side comes from the same column, {Xi^b, B} = -{B, Xi^b}; so a
     run of brackets with shared arguments (all pairs of generators, one
@@ -240,10 +237,10 @@ class DiracBracket:
     def __init__(self, ps: PhaseSpace, cs: ConstraintSet):
         self.ps = ps
         self.cs = cs
-        delta = constraint_matrix(ps, cs)
-        if delta.size == 0:
+        self.delta = constraint_matrix(ps, cs)
+        if self.delta.size == 0:
             raise NotSecondClassError("empty constraint set")
-        self.delta_inv = delta.inverse()
+        self.delta_inv = self.delta.inverse()
         self._columns: dict[Expression, tuple[Expression, ...]] = {}
 
     def _column(self, A: Expression) -> tuple[Expression, ...]:
@@ -266,13 +263,6 @@ class DiracBracket:
                 if coeff and not b_side[b].is_zero():
                     out = out + a_side[a] * b_side[b] * coeff
         return normal_form(out, t)
-
-
-def dirac_bracket(
-    ps: PhaseSpace, cs: ConstraintSet, A: Expression, B: Expression
-) -> Expression:
-    """{A, B}_D = {A, B} - {A, Xi^a} Dinv_{ab} {Xi^b, B}, exact."""
-    return DiracBracket(ps, cs)(A, B)
 
 
 def dirac_table_dump(ps: PhaseSpace, cs: ConstraintSet) -> str:
@@ -331,9 +321,7 @@ def standard_hamiltonian(
     return normal_form(H, ps.table)
 
 
-def hamiltonian_flow(
-    ps: PhaseSpace, cs: ConstraintSet, H: Expression, A: Expression
-) -> Expression:
+def hamiltonian_flow(db: DiracBracket, H: Expression, A: Expression) -> Expression:
     """Adot = {A, H}_D.
 
     H must be quadratic in the decoupled variables (X, p, theta, pi); the
@@ -342,7 +330,7 @@ def hamiltonian_flow(
     """
     if H.degree() > 4:
         raise ValueError("Hamiltonian must be quadratic in (X, p, theta, pi)")
-    return dirac_bracket(ps, cs, A, H)
+    return db(A, H)
 
 
 def mass_shell_constraint(ps: PhaseSpace, m: Fraction | int) -> Expression:

@@ -143,23 +143,11 @@ class LatticeField:
         return max_stable_dt(self.dx, self.dtheta, self.lam, self.m)
 
 
-@dataclass(frozen=True)
-class SourceTerm:
+class SourceTerm(LatticeField):
     """Source J on the same grid, compactly supported in the interior."""
 
-    values: np.ndarray
-    dt: float
-    dx: float
-    dtheta: float
-    lam: float
-    m: float
-
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=complex)
-        )
-        if self.values.ndim != 3:
-            raise ValueError("values must be (t, x, theta)")
+        super().__post_init__()
         v = self.values
         for axis in range(3):
             first = np.take(v, 0, axis=axis)

@@ -23,6 +23,7 @@ Units are hbar = c = 1 throughout the toolkit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -162,16 +163,6 @@ Scalar = Union[int, Fraction, GaussRat]
 # normal-ordering loop terminates.
 _NAME_RANK = {"X": 0, "x": 1, "p": 2, "theta": 3, "pi": 4, "Z": 5, "K": 6}
 
-_NAME_KIND = {
-    "X": "coordinate",
-    "x": "coordinate",
-    "p": "momentum",
-    "theta": "theta",
-    "pi": "theta-momentum",
-    "Z": "auxiliary",
-    "K": "auxiliary",
-}
-
 
 @dataclass(frozen=True)
 class Generator:
@@ -183,10 +174,6 @@ class Generator:
 
     name: str
     indices: tuple[int, ...] = ()
-
-    @property
-    def kind(self) -> str:
-        return _NAME_KIND.get(self.name, "auxiliary")
 
     @property
     def sort_key(self):
@@ -547,51 +534,42 @@ def format_expression(e: Expression) -> str:
     return out
 
 
-class _Lexer:
-    _SYMBOLS = "+-*()[],"
+# The tokens of the _Parser syntax; finditer skips only whitespace, since any
+# other character that starts no token matches `bad`.
+_TOKEN = re.compile(
+    r"(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol>[-+*()\[\],])|(?P<bad>\S)"
+)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+
+class _Parser:
+    """Recursive-descent parser for the test-fixture expression syntax.
+
+    Tokens are ASCII: numbers `[0-9]+(/[0-9]+)?`, names
+    `[A-Za-z_][A-Za-z0-9_]*` and the symbols `+ - * ( ) [ ] ,`; any other
+    non-space character is a ParseError at its position.
+
+    Grammar (juxtaposition multiplies, so `(1/2)i*p[2]` works):
+        expr   := term (('+'|'-') term)*
+        term   := factor (('*')? factor)*
+        factor := ('-')* (number | 'i' | name '[' idx ']' | '(' expr ')'
+                   | '[' expr ',' expr ']')
+    Commutator/Poisson brackets `[a, b]` are evaluated against the table
+    supplied to parse_expression, and require one.
+    """
+
+    _FACTOR_STARTS = {"number", "name", "(", "["}
+
+    def __init__(self, text: str, table: BracketTable | None):
         self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
-        self.cursor = 0
-
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in self._SYMBOLS:
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                if j < len(text) and text[j] == "/" and j + 1 < len(text) and text[j + 1].isdigit():
-                    k = j + 1
-                    while k < len(text) and text[k].isdigit():
-                        k += 1
-                    self.tokens.append(("number", text[i:k], i))
-                    i = k
-                else:
-                    self.tokens.append(("number", text[i:j], i))
-                    i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m[0]!r}", m.start())
+            self.tokens.append((m[0] if kind == "symbol" else kind, m[0], m.start()))
         self.tokens.append(("end", "", len(text)))
+        self.cursor = 0
+        self.table = table
 
     def peek(self):
         return self.tokens[self.cursor]
@@ -608,36 +586,17 @@ class _Lexer:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-
-class _Parser:
-    """Recursive-descent parser for the test-fixture expression syntax.
-
-    Grammar (juxtaposition multiplies, so `(1/2)i*p[2]` works):
-        expr   := term (('+'|'-') term)*
-        term   := factor (('*')? factor)*
-        factor := ('-')* (number | 'i' | name '[' idx ']' | '(' expr ')'
-                   | '[' expr ',' expr ']')
-    Commutator/Poisson brackets `[a, b]` are evaluated against the table
-    supplied to parse_expression, and require one.
-    """
-
-    _FACTOR_STARTS = {"number", "name", "(", "["}
-
-    def __init__(self, lexer: _Lexer, table: BracketTable | None):
-        self.lex = lexer
-        self.table = table
-
     def parse(self) -> Expression:
         e = self.expr()
-        tok = self.lex.peek()
+        tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return e
 
     def expr(self) -> Expression:
         e = self.term()
-        while self.lex.peek()[0] in ("+", "-"):
-            op = self.lex.next()[0]
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
             rhs = self.term()
             e = e + rhs if op == "+" else e - rhs
         return e
@@ -645,9 +604,9 @@ class _Parser:
     def term(self) -> Expression:
         e = self.factor()
         while True:
-            tok = self.lex.peek()
+            tok = self.peek()
             if tok[0] == "*":
-                self.lex.next()
+                self.next()
                 e = e * self.factor()
             elif tok[0] in self._FACTOR_STARTS:
                 e = e * self.factor()
@@ -655,46 +614,52 @@ class _Parser:
                 return e
 
     def factor(self) -> Expression:
-        tok = self.lex.peek()
+        tok = self.peek()
         if tok[0] == "-":
-            self.lex.next()
+            self.next()
             return -self.factor()
         if tok[0] == "number":
-            self.lex.next()
+            self.next()
             try:
                 return Expression.scalar(Fraction(tok[1]))
             except ZeroDivisionError:
                 raise ParseError("zero denominator", tok[2]) from None
         if tok[0] == "name":
-            self.lex.next()
+            self.next()
             if tok[1] == "i":
                 return Expression.scalar(I)
-            if self.lex.peek()[0] != "[":
+            if self.peek()[0] != "[":
                 raise ParseError(f"generator {tok[1]!r} needs [indices]", tok[2])
-            self.lex.next()
-            indices = [int(self.lex.expect("number")[1])]
-            while self.lex.peek()[0] == ",":
-                self.lex.next()
-                indices.append(int(self.lex.expect("number")[1]))
-            self.lex.expect("]")
+            self.next()
+            indices = [self._index()]
+            while self.peek()[0] == ",":
+                self.next()
+                indices.append(self._index())
+            self.expect("]")
             return self._generator(tok[1], tuple(indices), tok[2])
         if tok[0] == "(":
-            self.lex.next()
+            self.next()
             e = self.expr()
-            self.lex.expect(")")
+            self.expect(")")
             return e
         if tok[0] == "[":
-            self.lex.next()
+            self.next()
             a = self.expr()
-            self.lex.expect(",")
+            self.expect(",")
             b = self.expr()
-            self.lex.expect("]")
+            self.expect("]")
             if self.table is None:
                 raise ParseError("bracket [a, b] needs a bracket table", tok[2])
             return bracket(
                 normal_form(a, self.table), normal_form(b, self.table), self.table
             )
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+
+    def _index(self) -> int:
+        tok = self.expect("number")
+        if "/" in tok[1]:
+            raise ParseError(f"index must be an integer, found {tok[1]!r}", tok[2])
+        return int(tok[1])
 
     def _generator(self, name: str, indices: tuple[int, ...], pos: int) -> Expression:
         if name in ("theta", "pi"):
@@ -708,4 +673,4 @@ class _Parser:
 
 def parse_expression(text: str, table: BracketTable | None = None) -> Expression:
     """Parse the textual syntax; brackets [a, b] evaluate against `table`."""
-    return _Parser(_Lexer(text), table).parse()
+    return _Parser(text, table).parse()

@@ -46,7 +46,8 @@ def test_exit_two_on_bad_value(capsys):
 
 
 @pytest.mark.parametrize("pair", ["Lambda=nan", "m=inf", "lambda=-inf", "omega=0",
-                                  "Omega=-1", "m=-2"])
+                                  "Omega=-1", "m=-2", "D=1", "seed=-1", "samples=1",
+                                  "steps=0", "steps=1", "nt=4", "nx=4", "ntheta=4"])
 def test_exit_two_on_nonfinite_or_nonpositive_value(pair, capsys):
     assert main(["run", "--set", pair]) == 2
     assert "must be" in capsys.readouterr().err
@@ -197,9 +198,12 @@ def test_eval_round_trip_stability(capsys):
     assert capsys.readouterr().out.strip() == first
 
 
-def test_eval_parse_error_exit_two(capsys):
-    assert main(["eval", "x[1] +* 2"]) == 2
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize("expression", ["x[1] +* 2", "x[²]", "²", "x[٣]", "x[1/2]"],
+                         ids=["operator-pair", "superscript-index", "superscript",
+                              "arabic-indic-index", "fraction-index"])
+def test_eval_parse_error_exit_two(expression, capsys):
+    assert main(["eval", expression]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_unknown_generator_exit_two(capsys):

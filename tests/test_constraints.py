@@ -257,15 +257,15 @@ def test_hamiltonian_flow_decouples_sectors():
     H = standard_hamiltonian(PS, m=1, omega=1, Lambda=1, Omega=1)
     t = PS.table
     X1 = shifted_coordinate(PS, 1)
-    assert hamiltonian_flow(PS, CS, H, X1) == PS.p(1)
-    assert hamiltonian_flow(PS, CS, H, PS.theta(1, 2)) == PS.pi(1, 2)
-    assert hamiltonian_flow(PS, CS, H, H).is_zero()
+    assert hamiltonian_flow(DB, H, X1) == PS.p(1)
+    assert hamiltonian_flow(DB, H, PS.theta(1, 2)) == PS.pi(1, 2)
+    assert hamiltonian_flow(DB, H, H).is_zero()
     # mass m = 2: {X^1, H}_D = p^1/m
     H2 = standard_hamiltonian(PS, m=2, omega=1, Lambda=3, Omega=1)
-    assert hamiltonian_flow(PS, CS, H2, X1) == normal_form(
+    assert hamiltonian_flow(DB, H2, X1) == normal_form(
         Fraction(1, 2) * PS.p(1), t
     )
-    assert hamiltonian_flow(PS, CS, H2, PS.theta(1, 2)) == normal_form(
+    assert hamiltonian_flow(DB, H2, PS.theta(1, 2)) == normal_form(
         Fraction(1, 3) * PS.pi(1, 2), t
     )
 
@@ -274,7 +274,7 @@ def test_hamiltonian_flow_rejects_high_degree():
     x1 = PS.x(1)
     H = normal_form(x1 * x1 * x1 * x1 * x1, PS.table)
     with pytest.raises(ValueError):
-        hamiltonian_flow(PS, CS, H, PS.x(1))
+        hamiltonian_flow(DB, H, PS.x(1))
 
 
 def test_mass_shell_constraint():

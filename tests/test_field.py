@@ -227,6 +227,14 @@ def test_source_must_be_compactly_supported():
         SourceTerm(J, 0.1, 0.3, 0.3, 1.0, 1.0)
 
 
+def test_source_is_a_lattice_field():
+    # the grid and spacing checks of LatticeField hold for a source too
+    with pytest.raises(ValueError, match="grid sizes"):
+        SourceTerm(np.zeros((4, 8, 8)), 0.1, 0.3, 0.3, 1.0, 1.0)
+    with pytest.raises(ValueError, match="spacings"):
+        SourceTerm(np.zeros((8, 8, 8)), 0.1, -0.3, 0.3, 1.0, 1.0)
+
+
 def test_symbol_is_inverse_propagator_at_effective_momenta():
     # exact identity once momenta are read off the stencil: (2/h) sin(pi j/n)
     shape, dt, dx, dtheta, lam, m = (16, 12, 10), 0.05, 0.2, 0.25, 0.8, 1.2

@@ -186,10 +186,12 @@ def test_parse_antisymmetric_index_normalization():
 
 
 def test_parse_error_reports_position():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_expression("x[1] +* p[2]")
-    with pytest.raises(ParseError):
+    assert exc.value.position == 6
+    with pytest.raises(ParseError) as exc:
         parse_expression("1/0 * x[1]")
+    assert exc.value.position == 0
 
 
 def test_parse_bracket_requires_table():
