@@ -156,18 +156,40 @@ class SourceTerm(LatticeField):
                 raise ValueError("source must vanish on the grid boundary")
 
 
+def _kg_interior(v: np.ndarray, f: LatticeField) -> np.ndarray:
+    """(Box + lam^2 Box_theta - m^2) on the interior of the block v.
+
+    v is any 3-D block of f's grid; the result has v's shape minus 2 on each
+    axis.  The operations and their order are the same for every block, so
+    a point's value does not depend on the block it is computed in.
+    """
+    c = v[1:-1, 1:-1, 1:-1]
+    two_c = 2 * c
+    out = np.subtract(v[2:, 1:-1, 1:-1], two_c)
+    out += v[:-2, 1:-1, 1:-1]
+    out *= 1.0 / f.dt**2
+    np.negative(out, out=out)
+    tmp = np.subtract(v[1:-1, 2:, 1:-1], two_c)
+    tmp += v[1:-1, :-2, 1:-1]
+    tmp *= 1.0 / f.dx**2
+    out += tmp
+    np.subtract(v[1:-1, 1:-1, 2:], two_c, out=tmp)
+    tmp += v[1:-1, 1:-1, :-2]
+    tmp *= 1.0 / f.dtheta**2
+    tmp *= f.lam**2
+    out += tmp
+    np.multiply(c, f.m**2, out=tmp)
+    out -= tmp
+    return out
+
+
 def kg_apply(f: LatticeField) -> np.ndarray:
     """(Box + lam^2 Box_theta - m^2) phi on the interior, central differences.
 
     Returns an array of shape (nt-2, nx-2, ntheta-2) aligned with the
     interior points.
     """
-    v = f.values
-    c = v[1:-1, 1:-1, 1:-1]
-    dtt = (v[2:, 1:-1, 1:-1] - 2 * c + v[:-2, 1:-1, 1:-1]) / f.dt**2
-    dxx = (v[1:-1, 2:, 1:-1] - 2 * c + v[1:-1, :-2, 1:-1]) / f.dx**2
-    dqq = (v[1:-1, 1:-1, 2:] - 2 * c + v[1:-1, 1:-1, :-2]) / f.dtheta**2
-    return -dtt + dxx + f.lam**2 * dqq - f.m**2 * c
+    return _kg_interior(f.values, f)
 
 
 def kg_apply_at(f: LatticeField, it: int, ix: int, iq: int) -> complex:
@@ -175,7 +197,31 @@ def kg_apply_at(f: LatticeField, it: int, ix: int, iq: int) -> complex:
     nt, nx, nq = f.shape
     if not (0 < it < nt - 1 and 0 < ix < nx - 1 and 0 < iq < nq - 1):
         raise BoundaryError(f"({it}, {ix}, {iq}) is on the grid boundary")
-    return complex(kg_apply(f)[it - 1, ix - 1, iq - 1])
+    block = f.values[it - 1:it + 2, ix - 1:ix + 2, iq - 1:iq + 2]
+    return complex(_kg_interior(block, f)[0, 0, 0])
+
+
+# cells per slab of kg_residual_max: a few MB of complex temporaries
+_SLAB_CELLS = 1 << 18
+
+
+def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
+    """max |(Box + lam^2 Box_theta - m^2) phi - J| over the interior.
+
+    Equal to np.abs(kg_apply(f) - J_interior).max(), NaN included, but
+    evaluated a few time slices at a time, so no full-grid temporary is made.
+    """
+    if src.shape != f.shape:
+        raise ValueError("field and source must share the grid")
+    nt, nx, nq = f.shape
+    rows = max(1, _SLAB_CELLS // (nx * nq))
+    slab_max = []
+    for t0 in range(0, nt - 2, rows):
+        t1 = min(t0 + rows, nt - 2)
+        r = _kg_interior(f.values[t0:t1 + 2], f)
+        r -= src.values[t0 + 1:t1 + 1, 1:-1, 1:-1]
+        slab_max.append(np.abs(r).max())
+    return float(np.max(slab_max))
 
 
 def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
@@ -220,18 +266,25 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     # symbol(w - i eps) ~ symbol - 2 i eps w; the signed frequency keeps both
     # poles on the causal side
     w_signed = 2.0 * np.pi * np.fft.fftfreq(src.values.shape[0], src.dt)
-    reg = symbol - 1j * eps * w_signed.reshape(-1, 1, 1)
-    reg = np.where(np.abs(reg) == 0.0, 1j * max(eps, 1e-300), reg)
-    min_abs = float(np.abs(symbol).min())
-    scale = float(np.abs(symbol).max())
+    shift = 1j * eps * w_signed
+    abs_symbol = np.abs(symbol)
+    min_abs = float(abs_symbol.min())
+    scale = float(abs_symbol.max())
+    del abs_symbol
     if min_abs < 1e-9 * scale:
         cond = scale / max(min_abs, 1e-300)
         warnings.warn(
             f"near-resonant lattice mode; condition number {cond:.3e}",
             IllConditionedWarning,
         )
-    phi_hat = np.fft.fftn(src.values) / reg
-    phi = np.fft.ifftn(phi_hat)
+    # divide one time slice at a time, so the regularized symbol never
+    # exists as a full complex array
+    phi = np.fft.fftn(src.values, out=np.empty(src.shape, dtype=complex))
+    for t, phi_t in enumerate(phi):
+        reg = symbol[t] - shift[t]
+        reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
+        phi_t /= reg
+    np.fft.ifftn(phi, out=phi)
     return LatticeField(phi, src.dt, src.dx, src.dtheta, src.lam, src.m)
 
 
@@ -399,21 +452,58 @@ def evolve_leapfrog(
         )
     phi = np.asarray(phi, dtype=complex)
     phidot = np.asarray(phidot, dtype=complex)
+    # The stencil is the textbook one,
+    #   (roll(v, -1) - 2 v + roll(v, 1)) / h^2 per axis, then
+    #   lap_x + lam^2 lap_q - m^2 v,
+    # with the same operations in the same order, written in place into
+    # preallocated C-ordered buffers.  The periodic shifts are slice copies;
+    # along theta they run over the flattened rows, and the wrap-around
+    # column is then redone.  / h^2 is * (1 / h^2): numpy divides a complex
+    # by a real as a product with the reciprocal, so the values agree bit
+    # for bit (signs of zeros aside).
+    inv_dx2, inv_dq2 = 1.0 / dx**2, 1.0 / dtheta**2
+    lam2, m2, dt2 = lam**2, m**2, dt**2
+    two_v, lap, tmp = (np.empty(phi.shape, dtype=complex) for _ in range(3))
+    first_col = np.empty(phi.shape[0], dtype=complex)
 
     def spatial(v):
-        lap_x = (np.roll(v, -1, 0) - 2 * v + np.roll(v, 1, 0)) / dx**2
-        lap_q = (np.roll(v, -1, 1) - 2 * v + np.roll(v, 1, 1)) / dtheta**2
-        return lap_x + lam**2 * lap_q - m**2 * v
+        """Leaves the stencil in lap and 2 v in two_v."""
+        np.multiply(v, 2, out=two_v)
+        np.subtract(v[1:], two_v[:-1], out=lap[:-1])
+        np.subtract(v[:1], two_v[-1:], out=lap[-1:])
+        lap[1:] += v[:-1]
+        lap[:1] += v[-1:]
+        np.multiply(lap, inv_dx2, out=lap)
+        flat, flat_two, flat_tmp = v.reshape(-1), two_v.reshape(-1), tmp.reshape(-1)
+        np.subtract(flat[1:], flat_two[:-1], out=flat_tmp[:-1])
+        np.subtract(v[:, 0], two_v[:, -1], out=tmp[:, -1])
+        np.add(tmp[:, 0], v[:, -1], out=first_col)
+        flat_tmp[1:] += flat[:-1]
+        tmp[:, 0] = first_col
+        np.multiply(tmp, inv_dq2, out=tmp)
+        np.multiply(tmp, lam2, out=tmp)
+        np.add(lap, tmp, out=lap)
+        np.multiply(v, m2, out=tmp)
+        np.subtract(lap, tmp, out=lap)
 
-    prev = phi
-    cur = phi + dt * phidot + 0.5 * dt**2 * spatial(phi)
+    prev = np.array(phi, order="C")
+    spatial(prev)
+    lap *= 0.5 * dt2
+    cur = np.multiply(phidot, dt, out=np.empty_like(prev))
+    np.add(prev, cur, out=cur)
+    cur += lap
     series: list[tuple[int, float, Charges]] = []
     if record_every:
         series.append(
             (0, 0.0, noether_charges(prev, cur, dt, dx, dtheta, lam, m))
         )
     for n in range(1, steps):
-        prev, cur = cur, 2 * cur - prev + dt**2 * spatial(cur)
+        # next = 2 cur - prev + dt^2 spatial(cur), written over prev
+        spatial(cur)
+        lap *= dt2
+        np.subtract(two_v, prev, out=prev)
+        prev += lap
+        prev, cur = cur, prev
         if record_every and n % record_every == 0:
             series.append(
                 (n, n * dt, noether_charges(prev, cur, dt, dx, dtheta, lam, m))

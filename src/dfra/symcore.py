@@ -542,6 +542,13 @@ _TOKEN = re.compile(
 )
 
 
+# Nesting levels of '-', '( )' and '[ , ]' one expression may hold.  Each
+# level costs the recursive-descent parser up to four Python frames, so 100
+# levels stay well inside the default recursion limit of 1000; deeper input
+# is a ParseError, not a RecursionError.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the test-fixture expression syntax.
 
@@ -569,6 +576,7 @@ class _Parser:
             self.tokens.append((m[0] if kind == "symbol" else kind, m[0], m.start()))
         self.tokens.append(("end", "", len(text)))
         self.cursor = 0
+        self.depth = 0
         self.table = table
 
     def peek(self):
@@ -614,6 +622,17 @@ class _Parser:
                 return e
 
     def factor(self) -> Expression:
+        # factors nest only inside factors ('-', '( )', '[ , ]'), so this
+        # count is the nesting depth plus one
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels",
+                             self.peek()[2])
+        self.depth += 1
+        e = self._factor()
+        self.depth -= 1
+        return e
+
+    def _factor(self) -> Expression:
         tok = self.peek()
         if tok[0] == "-":
             self.next()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from dfra import symcore
 from dfra.cli import (
     REFERENCES,
     REPORT_SCHEMA,
@@ -204,6 +205,24 @@ def test_eval_round_trip_stability(capsys):
 def test_eval_parse_error_exit_two(expression, capsys):
     assert main(["eval", expression]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expression", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "-" * 3000 + "x[1]",
+    "[" * 3000 + "x[1], x[2]]" + ", p[1]]" * 2999,
+], ids=["parentheses", "unary-minus-chain", "brackets"])
+def test_eval_over_deep_nesting_exit_two(expression, capsys):
+    assert main(["eval", "--", expression]) == 2
+    assert "nested deeper than" in capsys.readouterr().err
+
+
+def test_eval_nesting_up_to_the_limit_parses(capsys):
+    depth = symcore._MAX_NESTING
+    assert main(["eval", "--", "(" * depth + "x[1]" + ")" * depth]) == 0
+    assert capsys.readouterr().out.strip() == "x[1]"
+    assert main(["eval", "--", "[" * depth + "x[1], x[2]]" + ", p[1]]" * (depth - 1)]) == 0
+    assert main(["eval", "--", "(" * (depth + 1) + "x[1]" + ")" * (depth + 1)]) == 2
 
 
 def test_eval_unknown_generator_exit_two(capsys):

@@ -239,6 +239,13 @@ def test_monte_carlo_works_for_d4():
     assert est.value == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("samples", [0, 1])
+def test_monte_carlo_needs_two_samples(samples):
+    # one sample has no standard error, zero samples no mean
+    with pytest.raises(ValueError, match="samples >= 2"):
+        moment_oracle(CFG2, monomial((2,)), "monte-carlo", samples=samples)
+
+
 # -- x^2 shift -----------------------------------------------------------------
 
 
