@@ -28,7 +28,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .reps import ETA, antisymmetric
-from .symcore import GaussRat, Scalar, _add_term
+from .symcore import (
+    BracketTable,
+    Expression,
+    GaussRat,
+    Generator,
+    derivative,
+    normal_form,
+)
 
 
 class TachyonicModeError(ValueError):
@@ -443,8 +450,11 @@ def evolve_leapfrog(
     """Free leapfrog evolution on the periodic (x, theta) grid.
 
     Returns the last two field slices and the recorded charge series
-    [(step, t, charges)].  Raises when dt exceeds the stability bound.
+    [(step, t, charges)].  Raises when steps < 1 or dt exceeds the stability
+    bound.
     """
+    if steps < 1:
+        raise ValueError(f"steps = {steps} must be >= 1")
     if dt > max_stable_dt(dx, dtheta, lam, m):
         raise ValueError(
             f"dt = {dt} exceeds the stability bound "
@@ -594,127 +604,49 @@ def charges_to_csv(series: Iterable[tuple[int, float, Charges]]) -> str:
 # Moyal star product on exact polynomials
 
 
-class CommutingPoly:
-    """Polynomial in commuting coordinates with exact coefficients.
-
-    Terms map exponent tuples to Gaussian rationals; used for the star
-    product, where exactness makes associativity an identity rather than a
-    tolerance.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms: dict[tuple[int, ...], GaussRat] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = GaussRat.coerce(coeff)
-                if coeff:
-                    if len(exps) != n:
-                        raise ValueError("exponent tuple length mismatch")
-                    self.terms[tuple(exps)] = coeff
-
-    @staticmethod
-    def coordinate(n: int, i: int) -> "CommutingPoly":
-        exps = [0] * n
-        exps[i] = 1
-        return CommutingPoly(n, {tuple(exps): 1})
-
-    @staticmethod
-    def constant(n: int, c: Scalar) -> "CommutingPoly":
-        return CommutingPoly(n, {(0,) * n: c})
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __add__(self, other: "CommutingPoly") -> "CommutingPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            _add_term(terms, e, c)
-        return CommutingPoly(self.n, terms)
-
-    def __sub__(self, other: "CommutingPoly") -> "CommutingPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c: Scalar) -> "CommutingPoly":
-        c = GaussRat.coerce(c)
-        return CommutingPoly(self.n, {e: cc * c for e, cc in self.terms.items()})
-
-    def __mul__(self, other: "CommutingPoly") -> "CommutingPoly":
-        terms: dict[tuple[int, ...], GaussRat] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _add_term(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return CommutingPoly(self.n, terms)
-
-    def diff(self, i: int) -> "CommutingPoly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                terms[tuple(e2)] = c * e[i]
-        return CommutingPoly(self.n, terms)
-
-    def __eq__(self, other):
-        return isinstance(other, CommutingPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        return f"CommutingPoly({self.n}, {self.terms!r})"
-
-
-def moyal_star(
-    f: CommutingPoly, g: CommutingPoly, theta, order: int
-) -> CommutingPoly:
+def moyal_star(f: Expression, g: Expression, theta, order: int) -> Expression:
     """Star product by the truncated exponential bidifferential series.
 
-    theta is an antisymmetric matrix of exact rationals.  Exact for
-    polynomial inputs once order >= min(deg f, deg g); each series term is
-    (1/n!) (i/2)^n theta^{m1 n1} ... (d..f)(d..g).
+    f and g are commutative polynomials in x[1..n], n the size of theta, an
+    antisymmetric matrix of exact rationals whose row and column k stand for
+    x[k+1]; the result is in poisson normal form, and any other generator is
+    an UnknownGeneratorError.  Exact once order >= min(deg f, deg g); each
+    series term is (1/n!) (i/2)^n theta^{m1 n1} ... (d..f)(d..g).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n = f.n
+    n = len(theta)
     theta = antisymmetric(theta, "theta", n, exact=True)
+    x = [Generator("x", (k + 1,)) for k in range(n)]
+    table = BracketTable(n, x, {}, mode="poisson")
+    f, g = normal_form(f, table), normal_form(g, table)
 
     half_i = GaussRat(0, Fraction(1, 2))
     # tensor pairs sum_k  a_k (x) b_k, advanced by the bidifferential operator
-    pairs: list[tuple[CommutingPoly, CommutingPoly]] = [(f, g)]
-    result = f * g
+    pairs: list[tuple[Expression, Expression]] = [(f, g)]
+    result = normal_form(f * g, table)
     factor = GaussRat(1)
     for step in range(1, order + 1):
         factor = factor * half_i / step
-        new_pairs: list[tuple[CommutingPoly, CommutingPoly]] = []
+        new_pairs: list[tuple[Expression, Expression]] = []
         for a, b in pairs:
+            db = [derivative(b, xk) for xk in x]
             for mu in range(n):
-                da = a.diff(mu)
+                da = derivative(a, x[mu])
                 if da.is_zero():
                     continue
                 for nu in range(n):
-                    if theta[mu, nu] == 0:
-                        continue
-                    db = b.diff(nu)
-                    if db.is_zero():
-                        continue
-                    new_pairs.append((da.scale(theta[mu, nu]), db))
+                    if theta[mu, nu] != 0 and not db[nu].is_zero():
+                        new_pairs.append((da * theta[mu, nu], db[nu]))
         if not new_pairs:
             break
         pairs = new_pairs
-        contribution = CommutingPoly(n)
+        contribution = Expression()
         for a, b in pairs:
-            contribution = contribution + a * b
-        result = result + contribution.scale(factor)
+            contribution = contribution + normal_form(a * b, table)
+        result = result + contribution * factor
     return result
 
 
-def star_commutator(
-    f: CommutingPoly, g: CommutingPoly, theta, order: int
-) -> CommutingPoly:
+def star_commutator(f: Expression, g: Expression, theta, order: int) -> Expression:
     return moyal_star(f, g, theta, order) - moyal_star(g, f, theta, order)

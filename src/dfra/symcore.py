@@ -191,14 +191,13 @@ class Generator:
 Word = tuple[Generator, ...]
 
 
-def _add_term(terms: dict, key: tuple, coeff: GaussRat) -> None:
-    """terms[key] += coeff, dropping the key when the sum is zero (keys are words
-    here and exponent tuples in field.CommutingPoly)."""
-    acc = terms.get(key, ZERO) + coeff
+def _add_term(terms: dict, word: Word, coeff: GaussRat) -> None:
+    """terms[word] += coeff, dropping the word when the sum is zero."""
+    acc = terms.get(word, ZERO) + coeff
     if acc:
-        terms[key] = acc
+        terms[word] = acc
     else:
-        terms.pop(key, None)
+        terms.pop(word, None)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +470,21 @@ def bracket(a: Expression, b: Expression, table: BracketTable) -> Expression:
                     for w, cw in entry:
                         _add_term(terms, left + w + right, c * cw)
     return normal_form(Expression(terms), table)
+
+
+def derivative(e: Expression, g: Generator) -> Expression:
+    """d e / d g, reading e's words as commutative monomials.
+
+    A word holding g k times gives k times the word with one g removed, so a
+    poisson normal form (sorted words) maps to a poisson normal form.
+    """
+    terms: dict[Word, GaussRat] = {}
+    for word, coeff in e.terms.items():
+        k = word.count(g)
+        if k:
+            i = word.index(g)
+            _add_term(terms, word[:i] + word[i + 1 :], coeff * k)
+    return Expression(terms)
 
 
 def jacobi_residual(

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from dfra import algebra, clifford, constraints, field, oscillator, reps
-from dfra.symcore import Expression, GaussRat, normal_form
+from dfra.symcore import Expression, GaussRat, Generator, normal_form
 
 
 def _announce(num: int, text: str) -> None:
@@ -328,13 +328,22 @@ def test_criterion_7_field_suite():
                  f"+-omega to grid accuracy")
 
 
+def _poly(n, terms) -> Expression:
+    """sum of coeff * x[1]^e1 ... x[n]^en over the exponent tuples in terms."""
+    out = {}
+    for exps, coeff in terms.items():
+        assert len(exps) == n
+        out[sum(((Generator("x", (k + 1,)),) * e for k, e in enumerate(exps)), ())] = coeff
+    return Expression(out)
+
+
 def test_criterion_8_moyal():
     theta = [[Fraction(0), Fraction(2, 5)], [Fraction(-2, 5), Fraction(0)]]
-    x1 = field.CommutingPoly.coordinate(2, 0)
-    x2 = field.CommutingPoly.coordinate(2, 1)
+    x1 = _poly(2, {(1, 0): 1})
+    x2 = _poly(2, {(0, 1): 1})
     for order in (1, 3, 6):
         comm = field.star_commutator(x1, x2, theta, order)
-        assert comm == field.CommutingPoly(2, {(0, 0): GaussRat(0, Fraction(2, 5))})
+        assert comm == _poly(2, {(0, 0): GaussRat(0, Fraction(2, 5))})
     rng = random.Random(808)
 
     def poly():
@@ -348,7 +357,7 @@ def test_criterion_8_moyal():
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                 Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
             )
-        return field.CommutingPoly(2, terms)
+        return _poly(2, terms)
 
     for _ in range(20):
         f, g, h = poly(), poly(), poly()

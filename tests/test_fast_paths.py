@@ -2,8 +2,9 @@
 
 The derivation-rule bracket is compared with normal-ordering ab - ba
 (commutator tables) and with the Leibniz recursion (Poisson tables); the
-per-space memos of X, l/L/J and M with operators built on a fresh space; the
-memoized Dirac bracket with its unmemoized formula.
+exact derivative d/dx^mu with the Poisson bracket with p_mu; the per-space
+memos of X, l/L/J and M with operators built on a fresh space; the memoized
+Dirac bracket with its unmemoized formula.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfra import algebra, constraints
-from dfra.symcore import ONE, Expression, GaussRat, bracket, normal_form
+from dfra.symcore import ONE, Expression, GaussRat, Generator, bracket, derivative, normal_form
 
 QUANTUM = {
     "D2": algebra.build(2),
@@ -82,6 +83,37 @@ def _leibniz_bracket(a, b, table):
 def test_poisson_bracket_is_the_leibniz_recursion(case):
     space, a, b = case
     assert bracket(a, b, space.table) == _leibniz_bracket(a, b, space.table)
+
+
+# -- derivative -------------------------------------------------------------------
+
+
+def _coordinate_and_expressions(count):
+    """(space, mu, e_1..e_count) on the D = 2 or 3 phase space, e_k in normal form."""
+    def build(name):
+        space = CLASSICAL[name]
+        normal = expressions(space).map(lambda e: normal_form(e, space.table))
+        return st.tuples(st.just(space), st.sampled_from(list(space.indices)),
+                         *(normal for _ in range(count)))
+    return st.sampled_from(["D2", "D3"]).flatmap(build)
+
+
+@given(_coordinate_and_expressions(1))
+@settings(max_examples=120, deadline=None)
+def test_derivative_is_the_bracket_with_the_conjugate_momentum(case):
+    # {e, p_mu} = de/dx^mu on the canonical phase space, where p_mu brackets
+    # nothing but x^mu
+    space, mu, e = case
+    assert derivative(e, Generator("x", (mu,))) == bracket(e, space.p(mu), space.table)
+
+
+@given(_coordinate_and_expressions(2))
+@settings(max_examples=120, deadline=None)
+def test_derivative_obeys_the_leibniz_rule(case):
+    space, mu, a, b = case
+    t, x = space.table, Generator("x", (mu,))
+    lhs = derivative(normal_form(a * b, t), x)
+    assert lhs == normal_form(derivative(a, x) * b + a * derivative(b, x), t)
 
 
 # -- derived-operator memos -------------------------------------------------------

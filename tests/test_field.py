@@ -9,7 +9,6 @@ import pytest
 from dfra.field import (
     BoundaryError,
     Charges,
-    CommutingPoly,
     ExtendedMomentum,
     IllConditionedWarning,
     LatticeField,
@@ -35,7 +34,7 @@ from dfra.field import (
     supplementary_residual,
     write_snapshot,
 )
-from dfra.symcore import GaussRat
+from dfra.symcore import Expression, GaussRat, Generator, UnknownGeneratorError
 
 
 def _k2_spatial(kappa: float) -> np.ndarray:
@@ -334,6 +333,16 @@ def test_evolution_rejects_unstable_dt():
         )
 
 
+def test_evolution_rejects_fewer_than_one_step():
+    dt = 0.5 * max_stable_dt(0.1, 0.1, 1.0, 1.0)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            evolve_leapfrog(
+                np.zeros((8, 8)), np.zeros((8, 8)), steps,
+                dt=dt, dx=0.1, dtheta=0.1, lam=1.0, m=1.0,
+            )
+
+
 def test_plane_wave_charge_values():
     # Q = -sign(omega) 2 omega |A|^2 V up to O((omega dt)^2)
     n, nq = 24, 12
@@ -522,18 +531,27 @@ def _theta2(val) -> list[list[Fraction]]:
     return [[Fraction(0), v], [-v, Fraction(0)]]
 
 
+def _poly(n, terms) -> Expression:
+    """sum of coeff * x[1]^e1 ... x[n]^en over the exponent tuples in terms."""
+    out = {}
+    for exps, coeff in terms.items():
+        assert len(exps) == n
+        out[sum(((Generator("x", (k + 1,)),) * e for k, e in enumerate(exps)), ())] = coeff
+    return Expression(out)
+
+
 def test_star_coordinate_commutator_exact():
-    x1 = CommutingPoly.coordinate(2, 0)
-    x2 = CommutingPoly.coordinate(2, 1)
+    x1 = _poly(2, {(1, 0): 1})
+    x2 = _poly(2, {(0, 1): 1})
     theta = _theta2(Fraction(3, 7))
     for order in (1, 2, 6):
         comm = star_commutator(x1, x2, theta, order)
-        assert comm == CommutingPoly(2, {(0, 0): GaussRat(0, Fraction(3, 7))})
+        assert comm == _poly(2, {(0, 0): GaussRat(0, Fraction(3, 7))})
 
 
 def test_star_with_unit():
-    one = CommutingPoly.constant(2, 1)
-    f = CommutingPoly(2, {(2, 1): Fraction(5, 3), (0, 0): 2})
+    one = _poly(2, {(0, 0): 1})
+    f = _poly(2, {(2, 1): Fraction(5, 3), (0, 0): 2})
     assert moyal_star(f, one, _theta2(1), 4) == f
     assert moyal_star(one, f, _theta2(1), 4) == f
 
@@ -541,10 +559,10 @@ def test_star_with_unit():
 def test_star_hand_expansion_squares():
     # x1^2 * x2^2 = x1^2 x2^2 + 2 i th x1 x2 - th^2 / 2
     th = Fraction(1, 2)
-    f = CommutingPoly(2, {(2, 0): 1})
-    g = CommutingPoly(2, {(0, 2): 1})
+    f = _poly(2, {(2, 0): 1})
+    g = _poly(2, {(0, 2): 1})
     got = moyal_star(f, g, _theta2(th), 2)
-    expect = CommutingPoly(
+    expect = _poly(
         2,
         {
             (2, 2): GaussRat(1),
@@ -555,7 +573,29 @@ def test_star_hand_expansion_squares():
     assert got == expect
 
 
-def _random_poly(rng, n_coords=2, deg=3) -> CommutingPoly:
+def test_star_monomials_closed_form():
+    # x1^a * x2^b = sum_k (i t/2)^k / k! a!/(a-k)! b!/(b-k)! x1^(a-k) x2^(b-k),
+    # and x2^b * x1^a is the same sum at -t
+    t = Fraction(3, 5)
+
+    def closed_form(a, b, sign):
+        terms = {}
+        for k in range(min(a, b) + 1):
+            c = GaussRat(Fraction(math.perm(a, k) * math.perm(b, k), math.factorial(k)))
+            for _ in range(k):
+                c = c * GaussRat(0, sign * t / 2)
+            terms[(a - k, b - k)] = c
+        return _poly(2, terms)
+
+    for a in range(5):
+        for b in range(5):
+            f, g = _poly(2, {(a, 0): 1}), _poly(2, {(0, b): 1})
+            order = max(a, b, 1)
+            assert moyal_star(f, g, _theta2(t), order) == closed_form(a, b, 1), (a, b)
+            assert moyal_star(g, f, _theta2(t), order) == closed_form(a, b, -1), (a, b)
+
+
+def _random_poly(rng, n_coords=2, deg=3) -> Expression:
     terms = {}
     for _ in range(rng.randint(2, 5)):
         while True:
@@ -566,7 +606,7 @@ def _random_poly(rng, n_coords=2, deg=3) -> CommutingPoly:
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
         )
-    return CommutingPoly(n_coords, terms)
+    return _poly(n_coords, terms)
 
 
 def test_star_associativity_exact():
@@ -591,10 +631,10 @@ def test_star_four_coordinates():
         theta[j][i] = -v
     for i in range(4):
         for j in range(4):
-            xi = CommutingPoly.coordinate(4, i)
-            xj = CommutingPoly.coordinate(4, j)
+            xi = _poly(4, {tuple(int(k == i) for k in range(4)): 1})
+            xj = _poly(4, {tuple(int(k == j) for k in range(4)): 1})
             comm = star_commutator(xi, xj, theta, 3)
-            expect = CommutingPoly(4, {(0, 0, 0, 0): GaussRat(0, theta[i][j])})
+            expect = _poly(4, {(0, 0, 0, 0): GaussRat(0, theta[i][j])})
             if theta[i][j] == 0:
                 assert comm.is_zero()
             else:
@@ -603,8 +643,26 @@ def test_star_four_coordinates():
 
 def test_star_order_validation():
     with pytest.raises(ValueError):
-        moyal_star(CommutingPoly.constant(2, 1), CommutingPoly.constant(2, 1),
-                   _theta2(1), 0)
+        moyal_star(_poly(2, {(0, 0): 1}), _poly(2, {(0, 0): 1}), _theta2(1), 0)
     with pytest.raises(ValueError):
-        moyal_star(CommutingPoly.constant(2, 1), CommutingPoly.constant(2, 1),
-                   [[0, 1], [1, 0]], 2)
+        moyal_star(_poly(2, {(0, 0): 1}), _poly(2, {(0, 0): 1}), [[0, 1], [1, 0]], 2)
+
+
+def test_star_rejects_a_coordinate_theta_does_not_cover():
+    # a 2x2 theta covers x[1], x[2]; x[3] used to be dropped from the product
+    x1 = _poly(2, {(1, 0): 1})
+    x3 = _poly(3, {(0, 0, 1): 1})
+    for f, g in ((x1, x3), (x3, x1)):
+        with pytest.raises(UnknownGeneratorError):
+            moyal_star(f, g, _theta2(1), 2)
+
+
+def test_star_rejects_a_momentum():
+    x1 = _poly(2, {(1, 0): 1})
+    p1 = Expression.generator(Generator("p", (1,)))
+    with pytest.raises(UnknownGeneratorError):
+        moyal_star(x1, x1 * p1, _theta2(1), 2)
+    with pytest.raises(UnknownGeneratorError):
+        star_commutator(p1, x1, _theta2(1), 2)
+    with pytest.raises(UnknownGeneratorError):  # even when the product is zero
+        moyal_star(p1, Expression.zero(), _theta2(1), 2)

@@ -125,9 +125,13 @@ def test_wavefunction_normalization_adaptive_quadrature():
     assert val == pytest.approx(1.0, abs=1e-8)
 
     cfg3 = OscillatorConfig(D=3, Lambda=1.1, Omega=0.9)
+    # |psi|^2 is a product of exp(-Lambda Omega theta_c^2) over the three
+    # components, so the weight outside the box |theta_c| <= 8/sqrt(Lambda Omega)
+    # is below 3 erfc(8) ~ 3.4e-29, far inside the tolerance
+    half = 8.0 / math.sqrt(cfg3.Lambda * cfg3.Omega)
     val3, err3 = integrate.nquad(
         lambda a, b, c: abs(ground_wavefunction(cfg3, [a, b, c], 0.0)) ** 2,
-        [(-np.inf, np.inf)] * 3,
+        [(-half, half)] * 3,
     )
     assert val3 == pytest.approx(1.0, abs=1e-8)
 

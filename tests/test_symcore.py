@@ -15,6 +15,7 @@ from dfra.symcore import (
     ParseError,
     UnknownGeneratorError,
     bracket,
+    derivative,
     format_expression,
     jacobi_residual,
     normal_form,
@@ -95,6 +96,15 @@ def test_unknown_generator_rejected():
     stray = Expression.generator(Generator("x", (9,)))
     with pytest.raises(UnknownGeneratorError):
         normal_form(stray, TABLE)
+
+
+def test_derivative_adds_words_that_meet():
+    # x1 x2 and x2 x1 lose their x1 to the same word x2
+    x1, x2 = Generator("x", (1,)), Generator("x", (2,))
+    assert derivative(Expression({(x1, x2): 1, (x2, x1): -1}), x1).is_zero()
+    assert derivative(Expression({(x1, x2): 1, (x2, x1): 1}), x1) == Expression({(x2,): 2})
+    assert derivative(Expression({(x1, x1, x1, x2): 5}), x1) == Expression({(x1, x1, x2): 15})
+    assert derivative(Expression({(x2,): 1, (): 3}), x1).is_zero()
 
 
 def test_zero_expression_is_valid_everywhere():
