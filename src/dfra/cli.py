@@ -344,11 +344,8 @@ def reps_suite(p: dict):
         g1 = reps.random_exact_element(rng)
         g2 = reps.random_exact_element(rng)
         g12 = reps.compose(g1, g2)
-        for rep in (reps.d1, reps.d2, reps.d3, reps.d4, reps.d5):
-            lhs = rep(g1).dot(rep(g2))
-            rhs = rep(g12)
-            if any(a != b for a, b in zip(lhs.flat, rhs.flat)):
-                mism += 1
+        for m1, m2, m12 in zip(*map(reps.scaled_reps, (g1, g2, g12))):
+            mism += not (m1 @ m2).equals(m12)
     yield "rep-homomorphism-100", "rep-homomorphism", mism, 0
 
     mism = 0
@@ -356,10 +353,8 @@ def reps_suite(p: dict):
         e1 = _random_infinitesimal(rng)
         e2 = _random_infinitesimal(rng)
         e3 = reps.compose_infinitesimal(e1, e2)
-        g1, g2, g3 = map(reps.generator_matrix, (e1, e2, e3))
-        diff = g1.dot(g2) - g2.dot(g1) - g3
-        if any(x != 0 for x in diff.flat):
-            mism += 1
+        g1, g2, g3 = map(reps.scaled_generator, (e1, e2, e3))
+        mism += not (g1 @ g2 - g2 @ g1).equals(g3)
     yield "infinitesimal-closure-25", "rep-infinitesimal", mism, 0
 
     nrng = np.random.default_rng(p["seed"])

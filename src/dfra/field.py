@@ -239,6 +239,12 @@ def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
     return dqq - delta * c
 
 
+def _symbol_axes(shape, dt: float, dx: float, dtheta: float):
+    """The per-axis squared lattice momenta (2/h)^2 sin^2(pi j / n)."""
+    return tuple((2.0 / h * np.sin(np.pi * np.arange(n) / n)) ** 2
+                 for n, h in zip(shape, (dt, dx, dtheta)))
+
+
 def kg_symbol(
     shape: tuple[int, int, int], dt: float, dx: float, dtheta: float, lam: float, m: float
 ) -> np.ndarray:
@@ -248,15 +254,8 @@ def kg_symbol(
     (2/h) sin(pi j / n) per axis.
     """
     nt, nx, nq = shape
-
-    def sq(n, h):
-        j = np.arange(n)
-        return (2.0 / h * np.sin(np.pi * j / n)) ** 2
-
-    wt = sq(nt, dt).reshape(nt, 1, 1)
-    kx = sq(nx, dx).reshape(1, nx, 1)
-    kq = sq(nq, dtheta).reshape(1, 1, nq)
-    return wt - kx - lam**2 * kq - m**2
+    wt, kx, kq = _symbol_axes(shape, dt, dx, dtheta)
+    return wt.reshape(nt, 1, 1) - kx.reshape(1, nx, 1) - lam**2 * kq.reshape(1, 1, nq) - m**2
 
 
 def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
@@ -267,31 +266,35 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     displacing both K^0 = +-omega poles causally.  Near-resonant modes
     trigger an ill-conditioning warning carrying the condition number.
     """
-    symbol = kg_symbol(src.values.shape, src.dt, src.dx, src.dtheta, src.lam, src.m)
+    wt, kx, kq = _symbol_axes(src.values.shape, src.dt, src.dx, src.dtheta)
+    kx = kx.reshape(-1, 1)
+    lkq = src.lam**2 * kq
     # plane waves here are exp(+i w t) (the inverse-FFT convention), so the
     # retarded prescription moves the poles to w = +-omega + i eps, i.e.
     # symbol(w - i eps) ~ symbol - 2 i eps w; the signed frequency keeps both
     # poles on the causal side
     w_signed = 2.0 * np.pi * np.fft.fftfreq(src.values.shape[0], src.dt)
     shift = 1j * eps * w_signed
-    abs_symbol = np.abs(symbol)
-    min_abs = float(abs_symbol.min())
-    scale = float(abs_symbol.max())
-    del abs_symbol
+    # divide one time slice at a time: each slice of kg_symbol is built from
+    # the axis factors, so neither the symbol nor its regularized form ever
+    # exists as a full array
+    phi = np.fft.fftn(src.values, out=np.empty(src.shape, dtype=complex))
+    min_abs, scale = float("inf"), 0.0
+    for t, phi_t in enumerate(phi):
+        symbol = wt[t] - kx - lkq - src.m**2
+        abs_symbol = np.abs(symbol)
+        min_abs = min(min_abs, float(abs_symbol.min()))
+        scale = max(scale, float(abs_symbol.max()))
+        reg = symbol - shift[t]
+        reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
+        phi_t /= reg
+    np.fft.ifftn(phi, out=phi)
     if min_abs < 1e-9 * scale:
         cond = scale / max(min_abs, 1e-300)
         warnings.warn(
             f"near-resonant lattice mode; condition number {cond:.3e}",
             IllConditionedWarning,
         )
-    # divide one time slice at a time, so the regularized symbol never
-    # exists as a full complex array
-    phi = np.fft.fftn(src.values, out=np.empty(src.shape, dtype=complex))
-    for t, phi_t in enumerate(phi):
-        reg = symbol[t] - shift[t]
-        reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
-        phi_t /= reg
-    np.fft.ifftn(phi, out=phi)
     return LatticeField(phi, src.dt, src.dx, src.dtheta, src.lam, src.m)
 
 

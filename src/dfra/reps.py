@@ -9,9 +9,13 @@ and an antisymmetric theta-translation.  Representations:
     d4  7x7    theta-sector affine group on (theta, 1)
     d5  11x11  the full product on (X, theta, 1)
 
-Matrices are built from whatever the entries of the input are: exact
-Fraction matrices stay exact (closure proofs), float matrices go through
-numpy doubles.  The antisymmetric basis fixes pair order
+Matrices are built from whatever the entries of the input are: exact input
+(object arrays of ints and Fractions) stays exact, float input goes through
+numpy doubles.  Exact matrices are computed over a common integer
+denominator (`Scaled`: an integer matrix and one positive int, compared
+cross-multiplied) and returned as Fraction object arrays; `scaled_reps` and
+`scaled_generator` hand out the integer forms themselves for closure proofs.
+The antisymmetric basis fixes pair order
 (0,1),(0,2),(0,3),(1,2),(1,3),(2,3); d2 rows/columns are the plain
 antisymmetrized product Lambda^mu_a Lambda^nu_b - Lambda^mu_b Lambda^nu_a
 restricted to that basis (no 1/2), which is the unique normalization whose
@@ -21,7 +25,9 @@ restricted to that basis (no 1/2), which is the unique normalization whose
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -30,13 +36,100 @@ import numpy as np
 # canonical antisymmetric-pair basis
 PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SLOT = {p: s for s, p in enumerate(PAIRS)}
+_MU = np.array([mu for mu, _ in PAIRS])
+_NU = np.array([nu for _, nu in PAIRS])
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-ETA_EXACT = np.array([[Fraction(int(v)) for v in row] for row in ETA], dtype=object)
 
 
-def _eta_like(mat: np.ndarray) -> np.ndarray:
-    return ETA_EXACT if mat.dtype == object else ETA
+class Scaled:
+    """Rational array num / den over one denominator.
+
+    Exact forms hold num as an object array of Python ints and den as a
+    positive int (the layout of FLINT's fmpq_mat), so products and sums are
+    integer arithmetic and equality is cross-multiplied.  A float array
+    rides along as (array, 1) and goes through exactly the float operations
+    it would alone, so each formula below is written once for both kinds.
+    An operation on one exact and one float operand is done in floats.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: np.ndarray, den: int = 1):
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def of(m, exact: bool | None = None) -> "Scaled":
+        """m over the least common denominator of its entries.
+
+        exact defaults to whether m is an object array.  Exact entries are
+        read with Fraction() (ints, Fractions and floats alike), the others
+        as floats.
+        """
+        m = np.asarray(m)
+        if exact is None:
+            exact = m.dtype == object
+        if not exact:
+            return Scaled(np.asarray(m, dtype=float))
+        q = [v if isinstance(v, Fraction) else Fraction(v) for v in m.flat]
+        den = math.lcm(*(int(v.denominator) for v in q))
+        num = [int(v.numerator) * (den // int(v.denominator)) for v in q]
+        return Scaled(np.array(num, dtype=object).reshape(m.shape), den)
+
+    @property
+    def exact(self) -> bool:
+        return self.num.dtype == object
+
+    @property
+    def T(self) -> "Scaled":
+        return Scaled(self.num.T, self.den)
+
+    def array(self) -> np.ndarray:
+        """The Fraction object array of an exact form; a float form's array."""
+        if not self.exact:
+            return self.num
+        out = [Fraction(n, self.den) for n in self.num.flat]
+        return np.array(out, dtype=object).reshape(self.num.shape)
+
+    def equals(self, other: "Scaled") -> bool:
+        """Exact equality, cross-multiplied: num1 den2 == num2 den1."""
+        x, y = _alike(self, other)
+        return x.num.shape == y.num.shape and bool(np.all(x.num * y.den == y.num * x.den))
+
+    def __matmul__(self, other: "Scaled") -> "Scaled":
+        x, y = _alike(self, other)
+        return Scaled(np.asarray(x.num.dot(y.num), dtype=x.num.dtype), x.den * y.den)
+
+    def __add__(self, other: "Scaled") -> "Scaled":
+        return _combine(self, other, operator.add)
+
+    def __sub__(self, other: "Scaled") -> "Scaled":
+        return _combine(self, other, operator.sub)
+
+
+def _alike(x: Scaled, y: Scaled) -> tuple[Scaled, Scaled]:
+    """The operands in one kind: floats when either one is a float form."""
+    if x.exact == y.exact:
+        return x, y
+    return tuple(Scaled(s.array().astype(float)) if s.exact else s for s in (x, y))
+
+
+def _combine(x: Scaled, y: Scaled, op) -> Scaled:
+    """x op y for op + or -, over the least common denominator."""
+    x, y = _alike(x, y)
+    if x.den == y.den:
+        return Scaled(op(x.num, y.num), x.den)
+    den = math.lcm(x.den, y.den)
+    return Scaled(op(x.num * (den // x.den), y.num * (den // y.den)), den)
+
+
+_ETA = {True: Scaled(ETA.astype(int).astype(object)), False: Scaled(ETA)}
+_EYE4 = Scaled(np.identity(4, dtype=int).astype(object))
+
+
+def _eta(s: Scaled) -> Scaled:
+    return _ETA[s.exact]
 
 
 def pair_slot(mu: int, nu: int) -> tuple[int, int]:
@@ -50,7 +143,7 @@ def pair_slot(mu: int, nu: int) -> tuple[int, int]:
 
 def mat_to_vec(b: np.ndarray) -> np.ndarray:
     """Antisymmetric 4x4 to 6-vector over the canonical basis."""
-    return np.array([b[mu, nu] for mu, nu in PAIRS])
+    return np.asarray(b)[_MU, _NU]
 
 
 def vec_to_mat(v) -> np.ndarray:
@@ -85,34 +178,54 @@ def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
     return m
 
 
-def _check_lorentz(lam: np.ndarray) -> None:
-    if lam.shape != (4, 4):
+def _scaled_fields(element, names: tuple[str, ...]) -> tuple[Scaled, ...]:
+    """Store the named fields as arrays and as Scaled forms in `scaled`.
+
+    The element is exact when its first field is an object array; the other
+    fields are then read exactly too.
+    """
+    parts = [np.asarray(getattr(element, name)) for name in names]
+    for name, part in zip(names, parts):
+        object.__setattr__(element, name, part)
+    exact = parts[0].dtype == object
+    scaled = tuple(Scaled.of(part, exact) for part in parts)
+    object.__setattr__(element, "scaled", scaled)
+    return scaled
+
+
+def _check_lorentz(lam: Scaled) -> None:
+    if lam.num.shape != (4, 4):
         raise ValueError("lambda must be 4x4")
-    eta = _eta_like(lam)
-    resid = lam.T.dot(eta).dot(lam) - eta
-    if lam.dtype == object:
-        if any(x != 0 for x in resid.flat):
-            raise ValueError("lambda does not preserve the metric")
-    elif not np.allclose(resid, 0.0, atol=1e-12):
+    eta = _eta(lam)
+    kept = lam.T @ eta @ lam
+    # exact: the integer identity N^T eta N == den^2 eta
+    if lam.exact:
+        ok = kept.equals(eta)
+    else:
+        ok = np.allclose((kept - eta).num, 0.0, atol=1e-12)
+    if not ok:
         raise ValueError("lambda does not preserve the metric")
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """(Lambda, A, B): Lorentz matrix, x-translation, theta-translation."""
+    """(Lambda, A, B): Lorentz matrix, x-translation, theta-translation.
+
+    `scaled` holds (Lambda, A, B) as Scaled forms, the ones every operation
+    on the element computes with.
+    """
 
     lam: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    scaled: tuple[Scaled, Scaled, Scaled] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam))
-        object.__setattr__(self, "a", np.asarray(self.a))
-        object.__setattr__(self, "b", np.asarray(self.b))
-        _check_lorentz(self.lam)
-        if self.a.shape != (4,):
+        lam, a, b = _scaled_fields(self, ("lam", "a", "b"))
+        _check_lorentz(lam)
+        if a.num.shape != (4,):
             raise ValueError("a must be a 4-vector")
-        antisymmetric(self.b, "b")
+        antisymmetric(b.num, "b")
 
     @staticmethod
     def identity() -> "GroupElement":
@@ -126,10 +239,55 @@ class GroupElement:
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group law: (L1 L2, L1 A2 + A1, D2(L1) B2 + B1)."""
-    lam = g1.lam.dot(g2.lam)
-    a = g1.lam.dot(g2.a) + g1.a
-    b = g1.lam.dot(g2.b).dot(g1.lam.T) + g1.b
-    return GroupElement(lam, a, b)
+    (l1, a1, b1), (l2, a2, b2) = g1.scaled, g2.scaled
+    parts = (l1 @ l2, l1 @ a2 + a1, l1 @ b2 @ l1.T + b1)
+    return GroupElement(*(s.array() for s in parts))
+
+
+_MM, _NN, _MN, _NM = (np.ix_(r, c) for r, c in ((_MU, _MU), (_NU, _NU), (_MU, _NU), (_NU, _MU)))
+
+
+def _minors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[r, c] = x[mu, al] y[nu, be] - x[mu, be] y[nu, al], r = (mu, nu), c = (al, be)."""
+    return x[_MM] * y[_NN] - x[_MN] * y[_NM]
+
+
+def _vec(b: Scaled) -> Scaled:
+    return Scaled(mat_to_vec(b.num), b.den)
+
+
+def _blocks(n: int, blocks, one: bool = True) -> Scaled:
+    """n x n form over the blocks' common denominator: each (rows, cols,
+    Scaled) block written into the identity, or into zeros if not one."""
+    den = math.lcm(*(s.den for _, _, s in blocks))
+    out = np.zeros((n, n), dtype=blocks[0][2].num.dtype)
+    if one:
+        out[np.diag_indices(n)] = den
+    for rows, cols, s in blocks:
+        out[rows, cols] = s.num if s.den == den else s.num * (den // s.den)
+    return Scaled(out, den)
+
+
+_X, _TH = slice(0, 4), slice(4, 10)
+
+
+def _d2(g: GroupElement) -> Scaled:
+    lam = g.scaled[0]
+    return Scaled(_minors(lam.num, lam.num), lam.den**2)
+
+
+def _d3(g: GroupElement) -> Scaled:
+    lam, a, _ = g.scaled
+    return _blocks(5, ((_X, _X, lam), (_X, 4, a)))
+
+
+def _d4(g: GroupElement) -> Scaled:
+    return _blocks(7, ((slice(0, 6), slice(0, 6), _d2(g)), (slice(0, 6), 6, _vec(g.scaled[2]))))
+
+
+def _d5(g: GroupElement) -> Scaled:
+    lam, a, b = g.scaled
+    return _blocks(11, ((_X, _X, lam), (_TH, _TH, _d2(g)), (_X, 10, a), (_TH, 10, _vec(b))))
 
 
 def d1(g: GroupElement) -> np.ndarray:
@@ -137,35 +295,24 @@ def d1(g: GroupElement) -> np.ndarray:
 
 
 def d2(g: GroupElement) -> np.ndarray:
-    lam = g.lam
-    out = np.empty((6, 6), dtype=lam.dtype)
-    for r, (mu, nu) in enumerate(PAIRS):
-        for c, (al, be) in enumerate(PAIRS):
-            out[r, c] = lam[mu, al] * lam[nu, be] - lam[mu, be] * lam[nu, al]
-    return out
+    return _d2(g).array()
 
 
 def d3(g: GroupElement) -> np.ndarray:
-    out = _block_identity(5, g.lam.dtype)
-    out[:4, :4] = g.lam
-    out[:4, 4] = g.a
-    return out
+    return _d3(g).array()
 
 
 def d4(g: GroupElement) -> np.ndarray:
-    out = _block_identity(7, g.lam.dtype)
-    out[:6, :6] = d2(g)
-    out[:6, 6] = mat_to_vec(g.b)
-    return out
+    return _d4(g).array()
 
 
 def d5(g: GroupElement) -> np.ndarray:
-    out = _block_identity(11, g.lam.dtype)
-    out[:4, :4] = g.lam
-    out[4:10, 4:10] = d2(g)
-    out[:4, 10] = g.a
-    out[4:10, 10] = mat_to_vec(g.b)
-    return out
+    return _d5(g).array()
+
+
+def scaled_reps(g: GroupElement) -> tuple[Scaled, ...]:
+    """d1..d5 of g as Scaled forms, for group-law checks without Fractions."""
+    return (g.scaled[0], _d2(g), _d3(g), _d4(g), _d5(g))
 
 
 def _zeros(shape, dtype) -> np.ndarray:
@@ -174,13 +321,6 @@ def _zeros(shape, dtype) -> np.ndarray:
         return np.zeros(shape)
     out = np.empty(shape, dtype=object)
     out.fill(Fraction(0))
-    return out
-
-
-def _block_identity(n: int, dtype) -> np.ndarray:
-    out = _zeros((n, n), dtype)
-    for i in range(n):
-        out[i, i] = Fraction(1) if dtype == object else 1.0
     return out
 
 
@@ -193,21 +333,20 @@ class InfinitesimalElement:
     """(omega, a, b) with omega in the mixed-index convention omega^mu_nu.
 
     omega^{mu nu} = omega^mu_rho eta^{rho nu} must be antisymmetric.
+    `scaled` holds (omega, a, b) as Scaled forms.
     """
 
     omega: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    scaled: tuple[Scaled, Scaled, Scaled] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega))
-        object.__setattr__(self, "a", np.asarray(self.a))
-        object.__setattr__(self, "b", np.asarray(self.b))
-        if self.omega.shape != (4, 4) or self.a.shape != (4,):
+        omega, a, b = _scaled_fields(self, ("omega", "a", "b"))
+        if omega.num.shape != (4, 4) or a.num.shape != (4,):
             raise ValueError("omega must be 4x4 and a a 4-vector")
-        eta = _eta_like(self.omega)
-        antisymmetric(self.omega.dot(eta), "omega^{mu nu}")
-        antisymmetric(self.b, "b")
+        antisymmetric((omega @ _eta(omega)).num, "omega^{mu nu}")
+        antisymmetric(b.num, "b")
 
     @staticmethod
     def zero() -> "InfinitesimalElement":
@@ -216,11 +355,10 @@ class InfinitesimalElement:
     @staticmethod
     def from_antisymmetric(omega_upper, a=None, b=None) -> "InfinitesimalElement":
         """Build from antisymmetric omega^{mu nu}, lowering the second index."""
-        omega_upper = np.asarray(omega_upper)
-        eta = _eta_like(omega_upper)
+        omega_upper = Scaled.of(omega_upper)
         a = np.zeros(4) if a is None else a
         b = np.zeros((4, 4)) if b is None else b
-        return InfinitesimalElement(omega_upper.dot(eta), a, b)
+        return InfinitesimalElement((omega_upper @ _eta(omega_upper)).array(), a, b)
 
 
 def compose_infinitesimal(
@@ -232,36 +370,33 @@ def compose_infinitesimal(
     a_3 = omega_1 a_2 - omega_2 a_1, and b_3 is the antisymmetrized
     omega_1 b_2 - omega_2 b_1.
     """
-    omega3 = e1.omega.dot(e2.omega) - e2.omega.dot(e1.omega)
-    a3 = e1.omega.dot(e2.a) - e2.omega.dot(e1.a)
-    raw = e1.omega.dot(e2.b) - e2.omega.dot(e1.b)
-    b3 = raw - raw.T
-    return InfinitesimalElement(omega3, a3, b3)
+    (w1, a1, b1), (w2, a2, b2) = e1.scaled, e2.scaled
+    raw = w1 @ b2 - w2 @ b1
+    parts = (w1 @ w2 - w2 @ w1, w1 @ a2 - w2 @ a1, raw - raw.T)
+    return InfinitesimalElement(*(s.array() for s in parts))
+
+
+def _d2_first_order(omega: Scaled) -> Scaled:
+    one = np.eye(4, dtype=omega.num.dtype)
+    return Scaled(_minors(omega.num, one) + _minors(one, omega.num), omega.den)
 
 
 def d2_first_order(omega: np.ndarray) -> np.ndarray:
     """Derivative of d2 at the identity in direction omega (mixed indices)."""
-    out = _zeros((6, 6), omega.dtype)
-    delta = _block_identity(4, omega.dtype)
-    for r, (mu, nu) in enumerate(PAIRS):
-        for c, (al, be) in enumerate(PAIRS):
-            out[r, c] = (
-                omega[mu, al] * delta[nu, be]
-                + delta[mu, al] * omega[nu, be]
-                - omega[mu, be] * delta[nu, al]
-                - delta[mu, be] * omega[nu, al]
-            )
-    return out
+    return _d2_first_order(Scaled.of(omega)).array()
+
+
+def scaled_generator(e: InfinitesimalElement) -> Scaled:
+    """generator_matrix(e) as a Scaled form, for closure checks without Fractions."""
+    omega, a, b = e.scaled
+    blocks = ((_X, _X, omega), (_TH, _TH, _d2_first_order(omega)),
+              (_X, 10, a), (_TH, 10, _vec(b)))
+    return _blocks(11, blocks, one=False)
 
 
 def generator_matrix(e: InfinitesimalElement) -> np.ndarray:
     """First-order d5 action: delta y = G y on the 11-vector (X, theta, 1)."""
-    out = _zeros((11, 11), e.omega.dtype)
-    out[:4, :4] = e.omega
-    out[4:10, 4:10] = d2_first_order(e.omega)
-    out[:4, 10] = e.a
-    out[4:10, 10] = mat_to_vec(e.b)
-    return out
+    return scaled_generator(e).array()
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +408,19 @@ _PYTHAGOREAN = ((Fraction(3, 5), Fraction(4, 5)),
                 (Fraction(7, 25), Fraction(24, 25)))
 
 
+def _check_axes(*axes: int) -> None:
+    """Spatial axes must lie in {1, 2, 3} and differ from each other."""
+    if any(ax not in (1, 2, 3) for ax in axes) or len(set(axes)) != len(axes):
+        raise ValueError(f"spatial axes must be distinct and in 1..3, got {axes}")
+
+
 def exact_rotation(i: int, j: int, cos_sin: tuple[Fraction, Fraction]) -> np.ndarray:
-    """Rational rotation in the spatial (i, j) plane, i, j in {1, 2, 3}."""
+    """Rational rotation in the spatial (i, j) plane, i != j in {1, 2, 3}."""
+    _check_axes(i, j)
     c, s = cos_sin
     if c * c + s * s != 1:
         raise ValueError("cos^2 + sin^2 must equal 1 exactly")
-    lam = _block_identity(4, np.dtype(object))
+    lam = _EYE4.array()
     lam[i, i] = c
     lam[j, j] = c
     lam[i, j] = -s
@@ -287,13 +429,14 @@ def exact_rotation(i: int, j: int, cos_sin: tuple[Fraction, Fraction]) -> np.nda
 
 
 def exact_boost(axis: int, t: Fraction) -> np.ndarray:
-    """Rational boost along a spatial axis, rapidity parameter |t| < 1."""
+    """Rational boost along a spatial axis in {1, 2, 3}, rapidity parameter |t| < 1."""
+    _check_axes(axis)
     t = Fraction(t)
     if abs(t) >= 1:
         raise ValueError("|t| must be < 1")
     ch = (1 + t * t) / (1 - t * t)
     sh = 2 * t / (1 - t * t)
-    lam = _block_identity(4, np.dtype(object))
+    lam = _EYE4.array()
     lam[0, 0] = ch
     lam[axis, axis] = ch
     lam[0, axis] = sh
@@ -303,7 +446,7 @@ def exact_boost(axis: int, t: Fraction) -> np.ndarray:
 
 def random_exact_element(rng) -> GroupElement:
     """Random exact group element: products of rational rotations and boosts."""
-    lam = _block_identity(4, np.dtype(object))
+    lam = _EYE4
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             i, j = rng.sample([1, 2, 3], 2)
@@ -311,14 +454,14 @@ def random_exact_element(rng) -> GroupElement:
             factor = exact_rotation(min(i, j), max(i, j), cs)
         else:
             factor = exact_boost(rng.randint(1, 3), Fraction(rng.randint(-3, 3), 7))
-        lam = lam.dot(factor)
+        lam = lam @ Scaled.of(factor)
     a = np.array([Fraction(rng.randint(-6, 6), 3) for _ in range(4)], dtype=object)
     bm = _zeros((4, 4), object)
     for mu, nu in PAIRS:
         v = Fraction(rng.randint(-6, 6), 2)
         bm[mu, nu] = v
         bm[nu, mu] = -v
-    return GroupElement(lam, a, bm)
+    return GroupElement(lam.array(), a, bm)
 
 
 def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
@@ -335,9 +478,8 @@ def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.nda
 
 
 def minkowski_dot(u, v) -> float:
-    u = np.asarray(u)
-    v = np.asarray(v)
-    return u.dot(_eta_like(u).dot(v))
+    u, v = Scaled.of(u), Scaled.of(v)
+    return (u @ (_eta(u) @ v)).array()[()]
 
 
 def orbital_m1(x_ref, k) -> np.ndarray:
@@ -349,10 +491,9 @@ def orbital_m1(x_ref, k) -> np.ndarray:
 
 def orbital_m2(theta_ref, K) -> np.ndarray:
     """Orbital M2^{mu nu} = -theta^{mu s} K_s^nu + theta^{nu s} K_s^mu."""
-    theta_ref = np.asarray(theta_ref)
-    K = np.asarray(K)
-    raw = theta_ref.dot(_eta_like(theta_ref)).dot(K)
-    return -raw + raw.T
+    theta_ref, K = Scaled.of(theta_ref), Scaled.of(K)
+    raw = theta_ref @ _eta(theta_ref) @ K
+    return (raw.T - raw).array()
 
 
 def matrix_to_text(m: np.ndarray, title: str) -> str:

@@ -24,7 +24,7 @@ Units are hbar = c = 1 throughout the toolkit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -174,6 +174,18 @@ class Generator:
 
     name: str
     indices: tuple[int, ...] = ()
+    # every dict and set operation on a word hashes each of its generators
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name, self.indices)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: rebuild, never carry _hash
+        return Generator, (self.name, self.indices)
 
     @property
     def sort_key(self):

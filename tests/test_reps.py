@@ -102,6 +102,27 @@ def test_group_element_rejects_non_lorentz():
         GroupElement(np.eye(4) * 2.0, np.zeros(4), np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("axis", [-1, 0, 4])
+def test_exact_boost_rejects_an_axis_outside_1_to_3(axis):
+    with pytest.raises(ValueError, match="axes"):
+        exact_boost(axis, _f(1, 2))
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (2, 2), (1, 4), (-1, 2)])
+def test_exact_rotation_rejects_bad_planes(i, j):
+    with pytest.raises(ValueError, match="axes"):
+        exact_rotation(i, j, (_f(3, 5), _f(4, 5)))
+
+
+def test_exact_rotation_and_boost_accept_every_spatial_axis():
+    for axis in (1, 2, 3):
+        GroupElement.pure_lorentz(exact_boost(axis, _f(-2, 7)))
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            if i != j:
+                GroupElement.pure_lorentz(exact_rotation(i, j, (_f(5, 13), _f(12, 13))))
+
+
 def test_exact_homomorphism_all_representations():
     rng = random.Random(2026)
     for _ in range(25):

@@ -1,5 +1,6 @@
 """Engine-level checks: exact arithmetic, normal ordering, bracket laws."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -37,6 +38,26 @@ def test_gaussrat_field_ops():
 
 
 _RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=12)
+
+
+_GENERATORS = st.builds(
+    Generator,
+    st.sampled_from(["X", "x", "p", "theta", "pi", "Z", "K", "w"]),
+    st.lists(st.integers(0, 5), max_size=2).map(tuple),
+)
+
+
+@given(g=_GENERATORS, h=_GENERATORS)
+def test_generator_hash_is_cached_and_keeps_its_value(g, h):
+    assert hash(g) == g._hash == hash((g.name, g.indices))
+    assert (g == h) == ((g.name, g.indices) == (h.name, h.indices))
+    assert (g == h) <= (hash(g) == hash(h))
+    rank = {"X": 0, "x": 1, "p": 2, "theta": 3, "pi": 4, "Z": 5, "K": 6}
+    assert g.sort_key == (rank.get(g.name, 99), g.name, g.indices)
+    assert (g < h) == (g.sort_key < h.sort_key)
+    assert repr(g) == f"Generator(name={g.name!r}, indices={g.indices!r})"
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and hash(copy) == hash(g)
 
 
 @given(re=st.one_of(st.integers(-50, 50).map(Fraction), _RATIONALS),
