@@ -414,10 +414,18 @@ def _check_axes(*axes: int) -> None:
         raise ValueError(f"spatial axes must be distinct and in 1..3, got {axes}")
 
 
+def _rational(x, label: str) -> Fraction:
+    """x read exactly as a Fraction; a float reads as its exact binary value."""
+    try:
+        return Fraction(x)
+    except OverflowError:
+        raise ValueError(f"{label} must be finite, got {x!r}") from None
+
+
 def exact_rotation(i: int, j: int, cos_sin: tuple[Fraction, Fraction]) -> np.ndarray:
     """Rational rotation in the spatial (i, j) plane, i != j in {1, 2, 3}."""
     _check_axes(i, j)
-    c, s = cos_sin
+    c, s = (_rational(x, "cos and sin") for x in cos_sin)
     if c * c + s * s != 1:
         raise ValueError("cos^2 + sin^2 must equal 1 exactly")
     lam = _EYE4.array()
@@ -431,7 +439,7 @@ def exact_rotation(i: int, j: int, cos_sin: tuple[Fraction, Fraction]) -> np.nda
 def exact_boost(axis: int, t: Fraction) -> np.ndarray:
     """Rational boost along a spatial axis in {1, 2, 3}, rapidity parameter |t| < 1."""
     _check_axes(axis)
-    t = Fraction(t)
+    t = _rational(t, "t")
     if abs(t) >= 1:
         raise ValueError("|t| must be < 1")
     ch = (1 + t * t) / (1 - t * t)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Union
 
 
@@ -52,13 +53,35 @@ class ParseError(SymError):
 
 
 class GaussRat:
-    """Exact complex number a + b*i with rational a, b."""
+    """Exact complex number (a + b*i)/d with integers a, b and d > 0.
 
-    __slots__ = ("re", "im")
+    The triple is reduced, gcd(a, b, d) == 1, so equal values have equal
+    triples (FLINT's fmpq layout, with the two parts over one denominator).
+    Over integer operands +, -, * stay plain int arithmetic; any other result
+    is reduced by one gcd.  `re` and `im` read the parts as Fractions.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise TypeError(f"cannot use {type(part).__name__} as an exact coefficient")
+        re, im = Fraction(re), Fraction(im)
+        q1, q2 = re.denominator, im.denominator
+        d = q1 * q2 // gcd(q1, q2)
+        # each part is in lowest terms, so gcd(a, b, d) == 1 already
+        self._a = re.numerator * (d // q1)
+        self._b = im.numerator * (d // q2)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(value: "Scalar") -> "GaussRat":
@@ -71,15 +94,20 @@ class GaussRat:
     def _cast(value):
         if isinstance(value, GaussRat):
             return value
-        if isinstance(value, (int, Fraction)):
-            return GaussRat(value)
+        if isinstance(value, int):
+            return _triple(int(value), 0, 1)
+        if isinstance(value, Fraction):
+            return _triple(value.numerator, 0, value.denominator)
         return None
 
     def __add__(self, other):
         other = GaussRat._cast(other)
         if other is None:
             return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -87,7 +115,10 @@ class GaussRat:
         other = GaussRat._cast(other)
         if other is None:
             return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = GaussRat._cast(other)
@@ -99,10 +130,8 @@ class GaussRat:
         other = GaussRat._cast(other)
         if other is None:
             return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -110,13 +139,13 @@ class GaussRat:
         other = GaussRat._cast(other)
         if other is None:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        # multiply by the conjugate of other over its norm
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm)
 
     def __rtruediv__(self, other):
         other = GaussRat._cast(other)
@@ -125,27 +154,48 @@ class GaussRat:
         return other / self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussRat(other)
-        if not isinstance(other, GaussRat):
+        other = GaussRat._cast(other)
+        if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         # a real value hashes like the int or Fraction it equals
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        if self._d == 1:
+            return hash(self._a) if not self._b else hash((self._a, self._b))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussRat({self.re!r}, {self.im!r})"
+
+
+def _triple(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d from a triple already in lowest terms with d > 0."""
+    out = object.__new__(GaussRat)
+    out._a = a
+    out._b = b
+    out._d = d
+    return out
+
+
+def _reduced(a: int, b: int, d: int) -> GaussRat:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _triple(a, b, d)
 
 
 ZERO = GaussRat(0)

@@ -4,10 +4,13 @@ The derivation-rule bracket is compared with normal-ordering ab - ba
 (commutator tables) and with the Leibniz recursion (Poisson tables); the
 exact derivative d/dx^mu with the Poisson bracket with p_mu; the per-space
 memos of X, l/L/J and M with operators built on a fresh space; the memoized
-Dirac bracket with its unmemoized formula.
+Dirac bracket with its unmemoized formula; the integer-triple Gaussian
+rationals with a pair of Fractions.
 """
 
+import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +205,126 @@ def test_memoized_dirac_bracket_equals_the_unmemoized_formula(A, B):
     assert DB(A, B) == expect
     assert DB(A, B) == expect  # second call reads both columns from the memo
     assert DB(B, A) == -expect
+
+
+# -- Gaussian rationals -----------------------------------------------------------
+
+# The slow definition: a coefficient is its (re, im) pair of Fractions.
+
+
+def _pair(x):
+    if isinstance(x, GaussRat):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def _pair_div(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return (p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm
+
+
+_PAIR_OPS = {
+    operator.add: lambda p, q: (p[0] + q[0], p[1] + q[1]),
+    operator.sub: lambda p, q: (p[0] - q[0], p[1] - q[1]),
+    operator.mul: lambda p, q: (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]),
+    operator.truediv: _pair_div,
+}
+
+# small parts give coprime denominators and cancellations; large ones big ints
+_PARTS = st.one_of(
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6),
+)
+_GAUSS = st.builds(GaussRat, _PARTS, _PARTS)
+_OPERANDS = st.one_of(_GAUSS, _PARTS, st.integers(-10**12, 10**12))
+
+
+def _assert_is(x, pair):
+    """x is a reduced triple holding exactly the Fraction pair."""
+    assert type(x) is GaussRat
+    assert (x.re, x.im) == pair
+    assert x._d > 0 and gcd(x._a, x._b, x._d) == 1
+
+
+@given(st.sampled_from(sorted(_PAIR_OPS, key=lambda op: op.__name__)),
+       _GAUSS, _OPERANDS, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_gaussrat_ops_equal_the_fraction_pair_definition(op, x, y, gauss_on_left):
+    left, right = (x, y) if gauss_on_left else (y, x)
+    if op is operator.truediv and _pair(right) == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            op(left, right)
+        return
+    out = op(left, right)
+    _assert_is(out, _PAIR_OPS[op](_pair(left), _pair(right)))
+    assert out == GaussRat(*_pair(out))
+
+
+@given(_GAUSS)
+def test_gaussrat_negation_and_exact_inverses(x):
+    re, im = _pair(x)
+    _assert_is(-x, (-re, -im))
+    _assert_is(x - x, (0, 0))
+    assert x - x == 0 and (x - x)._d == 1
+    _assert_is((x + 7) - 7, (re, im))
+    if x:
+        _assert_is(x / x, (1, 0))
+        assert (x / x)._d == 1
+
+
+@given(_GAUSS, st.sampled_from([0, Fraction(0), GaussRat(0), GaussRat(0, 0)]))
+def test_gaussrat_division_by_zero_raises(x, zero):
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / GaussRat(0)
+
+
+@given(st.integers(-30, 30), st.integers(1, 30), st.integers(-30, 30), st.integers(1, 30))
+def test_gaussrat_parts_with_coprime_denominators(p, q, r, s):
+    re, im = Fraction(p, q), Fraction(r, s)
+    x = GaussRat(re, im)
+    _assert_is(x, (re, im))
+    d = lcm(re.denominator, im.denominator)
+    assert x._d == d
+    # scaling by the common denominator reduces back to d == 1
+    _assert_is(x * d, (re * d, im * d))
+    assert (x * d)._d == 1
+
+
+def test_gaussrat_results_reduce_to_integers():
+    half_third = GaussRat(Fraction(1, 6), Fraction(1, 10))
+    assert half_third * 30 == GaussRat(5, 3) and (half_third * 30)._d == 1
+    assert (GaussRat(Fraction(1, 2), Fraction(1, 2)) + GaussRat(Fraction(1, 2), Fraction(-1, 2)))._d == 1
+    assert GaussRat(Fraction(1, 2), Fraction(1, 2)) * GaussRat(1, -1) == 1
+    assert GaussRat(3, 4) / GaussRat(3, -4) == GaussRat(Fraction(-7, 25), Fraction(24, 25))
+    assert GaussRat(0, 2) / GaussRat(0, 2) == 1 and (GaussRat(0, 2) / GaussRat(0, 2))._d == 1
+
+
+@given(_GAUSS, _OPERANDS)
+@settings(max_examples=300)
+def test_gaussrat_value_rules_follow_the_fraction_pair(x, y):
+    re, im = _pair(x)
+    assert (x == y) == (_pair(x) == _pair(y))
+    assert (y == x) == (x == y)
+    assert (x != y) == (_pair(x) != _pair(y))
+    assert (x == GaussRat(re, im)) and hash(x) == hash(GaussRat(re, im))
+    assert hash(x) == (hash(re) if im == 0 else hash((re, im)))
+    if im == 0:
+        assert x == re and hash(x) == hash(re)
+        if re.denominator == 1:
+            assert x == int(re) and hash(x) == hash(int(re))
+    assert bool(x) == (re != 0 or im != 0)
+    assert complex(x) == complex(float(re), float(im))
+    assert repr(x) == f"GaussRat({re!r}, {im!r})"
+    assert (x == 0.5) is False and (x == "x") is False
+
+
+@given(_GAUSS)
+def test_gaussrat_parts_are_read_only_fractions(x):
+    assert type(x.re) is Fraction and type(x.im) is Fraction
+    for part in ("re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(x, part, Fraction(1))
+    assert type(GaussRat(3).re) is Fraction and type(GaussRat(3).im) is Fraction

@@ -1,5 +1,6 @@
 """Representation matrices: homomorphism, infinitesimal closure, Casimirs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -112,6 +113,20 @@ def test_exact_boost_rejects_an_axis_outside_1_to_3(axis):
 def test_exact_rotation_rejects_bad_planes(i, j):
     with pytest.raises(ValueError, match="axes"):
         exact_rotation(i, j, (_f(3, 5), _f(4, 5)))
+
+
+@pytest.mark.parametrize("cos_sin", [(0.6, 0.8), (_f(3, 5), 0.8), (0.6, _f(4, 5)),
+                                     (math.inf, 0), (math.nan, _f(1))])
+def test_exact_rotation_reads_cos_and_sin_exactly(cos_sin):
+    # 0.6**2 + 0.8**2 rounds to 1.0, but the binary values are not a unit pair
+    with pytest.raises(ValueError):
+        exact_rotation(1, 2, cos_sin)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_exact_boost_rejects_a_non_finite_t(t):
+    with pytest.raises(ValueError):
+        exact_boost(1, t)
 
 
 def test_exact_rotation_and_boost_accept_every_spatial_axis():

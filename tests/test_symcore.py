@@ -37,6 +37,24 @@ def test_gaussrat_field_ops():
     assert bool(GaussRat(0, 0)) is False
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, 1j, complex(1, 0), "1/3", "2", None])
+def test_gaussrat_takes_only_int_and_fraction_parts(bad):
+    # the exact branch never admits a float, even one with an exact binary value
+    with pytest.raises(TypeError):
+        GaussRat(bad)
+    with pytest.raises(TypeError):
+        GaussRat(1, bad)
+    with pytest.raises(TypeError):
+        GaussRat.coerce(bad)
+
+
+def test_gaussrat_accepts_int_and_fraction_parts():
+    assert GaussRat(True, Fraction(-2, 4)) == GaussRat(1, Fraction(-1, 2))
+    assert GaussRat(Fraction(6, 3)) == 2
+    with pytest.raises(TypeError):
+        GaussRat(GaussRat(1))
+
+
 _RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 
 
