@@ -24,9 +24,9 @@ Units are hbar = c = 1 throughout the toolkit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 
@@ -214,41 +214,61 @@ Scalar = Union[int, Fraction, GaussRat]
 _NAME_RANK = {"X": 0, "x": 1, "p": 2, "theta": 3, "pi": 4, "Z": 5, "K": 6}
 
 
-@dataclass(frozen=True)
 class Generator:
     """Atomic symbol such as x^1, p_2, theta^{1,2}.
 
     Antisymmetric index pairs are stored with first index < second; the
     sign lives in the coefficient of the surrounding expression.
+
+    Generators are interned: equal (name, indices) give the same object, so
+    equality is identity.  The sort key and the hash are computed once, when
+    the generator is first built, since every dict and set operation on a
+    word hashes each of its generators.
     """
 
-    name: str
-    indices: tuple[int, ...] = ()
-    # every dict and set operation on a word hashes each of its generators
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "indices", "sort_key", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name, self.indices)))
+    def __new__(cls, name: str, indices: tuple[int, ...] = ()):
+        key = (name, indices)
+        g = _INTERNED.get(key)
+        if g is None:
+            g = object.__new__(cls)
+            object.__setattr__(g, "name", name)
+            object.__setattr__(g, "indices", indices)
+            object.__setattr__(g, "sort_key", (_NAME_RANK.get(name, 99), name, indices))
+            object.__setattr__(g, "_hash", hash(key))
+            g = _INTERNED.setdefault(key, g)
+        return g
 
+    def __setattr__(self, *a):  # immutability guard
+        raise AttributeError("Generator is immutable")
+
+    __delattr__ = __setattr__
+
+    # __eq__ stays object identity
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
-        # str hashes differ between processes: rebuild, never carry _hash
+        # str hashes differ between processes: rebuild (and intern), never carry _hash
         return Generator, (self.name, self.indices)
-
-    @property
-    def sort_key(self):
-        return (_NAME_RANK.get(self.name, 99), self.name, self.indices)
 
     def __lt__(self, other: "Generator"):
         return self.sort_key < other.sort_key
+
+    def __repr__(self):
+        return f"Generator(name={self.name!r}, indices={self.indices!r})"
 
     def __str__(self):
         if not self.indices:
             return self.name
         return f"{self.name}[{','.join(str(i) for i in self.indices)}]"
 
+
+# (name, indices) -> the one Generator with that value
+_INTERNED: dict[tuple[str, tuple[int, ...]], Generator] = {}
+
+_SORT_KEY = attrgetter("sort_key")
 
 Word = tuple[Generator, ...]
 
@@ -409,8 +429,10 @@ class BracketTable:
     normal-ordering rewrite.
 
     The universe is checked where an expression enters (`check_expression`,
-    `entry`); the rewrite and the bracket read `_signed_terms`, the terms of
-    [a, b] for both orders of every nonzero pair, without re-checking.
+    `entry`, and each entry's right-hand side here); the rewrite and the
+    bracket read `_signed`, one row per generator of the universe:
+    `_signed[a][b]` holds the terms of [a, b] for both orders of every
+    nonzero pair, without re-checking.
     """
 
     def __init__(
@@ -429,6 +451,7 @@ class BracketTable:
         for (a, b), expr in entries.items():
             if a not in self.universe or b not in self.universe:
                 raise UnknownGeneratorError(f"table entry ({a}, {b}) outside universe")
+            self.check_expression(expr)
             if expr.degree() > 1:
                 raise ValueError(f"bracket entry [{a}, {b}] has degree > 1")
             if expr.is_zero():
@@ -438,22 +461,23 @@ class BracketTable:
             if a == b:
                 raise ValueError(f"nonzero bracket [{a}, {a}] is inconsistent")
             self.entries[(a, b)] = expr
-        self._signed_terms: dict[tuple[Generator, Generator], tuple] = {}
+        self._signed: dict[Generator, dict[Generator, tuple]] = {g: {} for g in self.universe}
         for (a, b), expr in self.entries.items():
-            self._signed_terms[(a, b)] = tuple(expr.terms.items())
-            self._signed_terms[(b, a)] = tuple((w, -c) for w, c in expr.terms.items())
+            self._signed[a][b] = tuple(expr.terms.items())
+            self._signed[b][a] = tuple((w, -c) for w, c in expr.terms.items())
 
     def entry(self, a: Generator, b: Generator) -> Expression:
         """[a, b] for generators, with antisymmetry applied on lookup."""
         for g in (a, b):
             if g not in self.universe:
                 raise UnknownGeneratorError(f"generator {g} not in table universe")
-        return Expression(dict(self._signed_terms.get((a, b), ())))
+        return Expression(dict(self._signed[a].get(b, ())))
 
     def check_expression(self, e: Expression) -> None:
-        for g in e.generators():
-            if g not in self.universe:
-                raise UnknownGeneratorError(f"generator {g} not in table universe")
+        for word in e.terms:
+            for g in word:
+                if g not in self.universe:
+                    raise UnknownGeneratorError(f"generator {g} not in table universe")
 
     def dump(self) -> str:
         """Text table `[<gen>, <gen>] = <expression>` of all nonzero entries."""
@@ -478,10 +502,10 @@ def normal_form(e: Expression, table: BracketTable) -> Expression:
     if table.mode == "poisson":
         terms: dict[Word, GaussRat] = {}
         for word, coeff in e.terms.items():
-            _add_term(terms, tuple(sorted(word, key=lambda g: g.sort_key)), coeff)
+            _add_term(terms, tuple(sorted(word, key=_SORT_KEY)), coeff)
         return Expression(terms)
 
-    signed = table._signed_terms
+    signed = table._signed
     result: dict[Word, GaussRat] = {}
     pending: list[tuple[Word, GaussRat]] = list(e.terms.items())
     budget = _MAX_REWRITE_FACTOR * (1 + len(e.terms)) * (1 + e.degree()) ** 2
@@ -492,14 +516,14 @@ def normal_form(e: Expression, table: BracketTable) -> Expression:
             raise NormalizationError("rewrite did not terminate; inconsistent table")
         word, coeff = pending.pop()
         for k in range(len(word) - 1):
-            if word[k + 1] < word[k]:
+            if word[k + 1].sort_key < word[k].sort_key:
                 break
         else:
             _add_term(result, word, coeff)
             continue
         a, b = word[k], word[k + 1]
         pending.append((word[:k] + (b, a) + word[k + 2 :], coeff))
-        for w2, c2 in signed.get((a, b), ()):
+        for w2, c2 in signed[a].get(b, ()):
             pending.append((word[:k] + w2 + word[k + 2 :], coeff * c2))
     return Expression(result)
 
@@ -512,15 +536,18 @@ def bracket(a: Expression, b: Expression, table: BracketTable) -> Expression:
     """
     table.check_expression(a)
     table.check_expression(b)
-    signed = table._signed_terms
+    signed = table._signed
     commutator = table.mode == "commutator"
     terms: dict[Word, GaussRat] = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
             c = None
             for i, ui in enumerate(u):
+                row = signed[ui]
+                if not row:
+                    continue
                 for j, vj in enumerate(v):
-                    entry = signed.get((ui, vj))
+                    entry = row.get(vj)
                     if entry is None:
                         continue
                     if c is None:

@@ -2,16 +2,24 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from dfra import symcore
+import dfra
+from dfra import field, symcore
 from dfra.cli import (
     REFERENCES,
     REPORT_SCHEMA,
     CheckResult,
     UsageError,
+    _bisect,
     _report_json,
     main,
     parse_params,
@@ -87,6 +95,28 @@ def test_x2_spread_uses_the_run_parameters(monkeypatch):
     assert record["status"] == "pass"
 
 
+@pytest.mark.parametrize("wrong", [
+    lambda cfg: cfg.D ** 2 * cfg.Omega / 4.0,
+    lambda cfg: 1.001 * cfg.D * (cfg.D - 1) * cfg.Omega / 4.0,
+    lambda cfg: (1 + 1e-6) * cfg.D * (cfg.D - 1) * cfg.Omega / 4.0,
+], ids=["D-squared", "relative-1e-3", "relative-1e-6"])
+def test_vacuum_shift_record_fails_on_a_wrong_shift(monkeypatch, wrong):
+    from dfra import oscillator
+
+    params = parse_params(["samples=1000"])
+
+    def records():
+        report = run_suite("oscillator", params)
+        return {c["name"]: c for c in report["checks"] if c["name"].startswith("vacuum-shift")}
+
+    right = records()
+    monkeypatch.setattr(oscillator, "vacuum_shift", wrong)
+    for name, record in records().items():
+        # the oracle is a numeric diagonalization, so its tolerance is its error estimate
+        assert right[name]["status"] == "pass" and right[name]["tolerance"] > 0
+        assert record["status"] == "fail", name
+
+
 def test_runtime_runs_from_the_previous_record(monkeypatch):
     """A delay inside one check is charged to that check, and only once."""
     from dfra import clifford
@@ -104,6 +134,54 @@ def test_runtime_runs_from_the_previous_record(monkeypatch):
     runtimes = {c["name"]: c["runtime"] for c in report["checks"]}
     assert runtimes["spinor-lorentz-closure"] >= 0.05
     assert sum(runtimes.values()) <= wall
+
+
+@given(root=st.floats(-10, 10), left=st.floats(0.01, 5), right=st.floats(0.01, 5),
+       gap=st.floats(0, 10), scale=st.floats(0.1, 10), rising=st.booleans())
+def test_bisect_finds_the_root_brentq_finds(root, left, right, gap, scale, rising):
+    lo, hi = root - left, root + right
+    # the other root lies so far left that the vertex is at or left of lo,
+    # so f is monotone on [lo, hi]
+    other = lo - left - gap
+    k = scale if rising else -scale
+
+    def f(x):
+        return k * (x - root) * (x - other)
+
+    assert abs(_bisect(f, lo, hi) - brentq(f, lo, hi, xtol=1e-13)) <= 1e-12
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x * x + 1.0,
+    lambda x: math.nan if x < 0 else x,
+    lambda x: x if abs(x) > 0.1 else math.nan,
+], ids=["no-sign-change", "nan-end", "nan-inside"])
+def test_bisect_raises_without_a_bracketed_root(f):
+    with pytest.raises(ValueError):
+        _bisect(f, -1.0, 0.5)
+
+
+@pytest.mark.parametrize("error", [1.0, math.nan], ids=["root-outside", "nan"])
+def test_pole_check_without_a_bracketed_root_raises(monkeypatch, error):
+    # the bracket is the dispersion value +- 0.5: a wrong value never passes
+    dispersion = field.dispersion
+    monkeypatch.setattr(field, "dispersion", lambda *args: dispersion(*args) + error)
+    with pytest.raises(ValueError, match="no sign change"):
+        run_suite("field", parse_params([]))
+
+
+def test_suite_all_leaves_scipy_optimize_unimported(tmp_path):
+    # a check's first-use import would land in its record's runtime
+    script = (
+        "import sys\n"
+        "from dfra.cli import main\n"
+        "code = main(['run', '--suite', 'all', '--format', 'json', '--out', sys.argv[1]])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dfra.__file__)))
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],
+                   env={**os.environ, "PYTHONPATH": src}, check=True, timeout=300)
 
 
 def test_report_json_writes_nonfinite_residuals_as_null():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from dfra.oscillator import (
@@ -19,6 +21,7 @@ from dfra.oscillator import (
     moment_oracle,
     monomial,
     vacuum_shift,
+    vacuum_shift_oracle,
     weight_function,
     x2_expectation,
 )
@@ -34,6 +37,19 @@ def test_ground_state_energy_d3():
     occ = Occupation((0, 0, 0), (0, 0, 0))
     assert energy(CFG3, occ) == pytest.approx(1.5 * CFG3.omega + 1.5 * CFG3.Omega)
     assert vacuum_shift(CFG3) == pytest.approx(1.5 * CFG3.Omega)
+
+
+@given(D=st.integers(2, 4), Lambda=st.floats(1e-2, 1e2), Omega=st.floats(1e-2, 1e2))
+@settings(deadline=None)
+def test_vacuum_shift_oracle_brackets_the_exact_shift(D, Lambda, Omega):
+    # each theta mode is an oscillator of frequency Omega: ground energy Omega/2
+    cfg = OscillatorConfig(D=D, Lambda=Lambda, Omega=Omega)
+    exact = cfg.n_modes * Omega / 2.0
+    value, error = vacuum_shift_oracle(cfg)
+    assert abs(value - exact) <= error
+    # the bound is the O(h^4) gap between two Richardson values; at 255, 511 and
+    # 1023 points it sits near 1.4e-8 of the shift, and the value 15 times closer
+    assert 0 < error <= 1e-7 * exact
 
 
 def test_omega_zero_limit_is_ordinary_ladder():

@@ -14,6 +14,7 @@ from dfra.symcore import (
     GaussRat,
     Generator,
     ParseError,
+    BracketTable,
     UnknownGeneratorError,
     bracket,
     derivative,
@@ -78,6 +79,31 @@ def test_generator_hash_is_cached_and_keeps_its_value(g, h):
     assert copy == g and hash(copy) == hash(g)
 
 
+@given(g=_GENERATORS)
+def test_generators_are_interned_and_immutable(g):
+    assert Generator(g.name, g.indices) is g
+    assert pickle.loads(pickle.dumps(g)) is g
+    for attr in ("name", "sort_key", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, None)
+    with pytest.raises(AttributeError):
+        del g.name
+
+
+def test_expression_checked_on_one_table_is_checked_again_on_another():
+    small = algebra.build(2).table
+    born = bracket(ALG.x(1), ALG.x(3), TABLE)  # i theta[1,3], built by TABLE
+    parsed = parse_expression("x[1]*x[3]")
+    normal_form(parsed, TABLE)  # checked against TABLE
+    for e in (born, parsed, born + parsed, -parsed):
+        with pytest.raises(UnknownGeneratorError):
+            normal_form(e, small)
+        with pytest.raises(UnknownGeneratorError):
+            bracket(ALG.x(1), e, small)
+    fits = normal_form(parse_expression("x[1]*p[2]"), small)
+    assert normal_form(fits, TABLE) == fits
+
+
 @given(re=st.one_of(st.integers(-50, 50).map(Fraction), _RATIONALS),
        im=st.one_of(st.just(Fraction(0)), _RATIONALS))
 def test_equal_values_hash_equal(re, im):
@@ -135,6 +161,12 @@ def test_unknown_generator_rejected():
     stray = Expression.generator(Generator("x", (9,)))
     with pytest.raises(UnknownGeneratorError):
         normal_form(stray, TABLE)
+
+
+def test_table_entry_outside_the_universe_rejected():
+    x1, x2, z = Generator("x", (1,)), Generator("x", (2,)), Generator("Z")
+    with pytest.raises(UnknownGeneratorError):
+        BracketTable(2, [x1, x2], {(x1, x2): Expression.generator(z)})
 
 
 def test_derivative_adds_words_that_meet():
