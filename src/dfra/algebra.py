@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .reps import ETA, _levi4, antisymmetric
+from .reps import _levi4, antisymmetric, pair_dot
 from .symcore import (
     BracketTable,
     Expression,
@@ -331,10 +331,8 @@ def quantum_conditions(theta: np.ndarray, planck_length: float) -> tuple[float, 
     theta = antisymmetric(theta, "theta")
     if planck_length <= 0:
         raise ValueError("planck_length must be positive")
-    theta_lower = ETA @ theta @ ETA
-    first = float(np.einsum("mn,mn->", theta_lower, theta))
+    first = pair_dot(theta, theta)
     dual_lower = 0.5 * np.einsum("mnrs,rs->mn", _levi4(), theta)
-    dual_upper = ETA @ dual_lower @ ETA
-    pseudo = 0.25 * float(np.einsum("mn,mn->", dual_upper, theta_lower))
+    pseudo = 0.25 * float(np.einsum("mn,mn->", dual_lower, theta))
     second = pseudo**2 - planck_length**8
     return first, second

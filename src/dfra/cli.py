@@ -29,7 +29,8 @@ import time
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -227,6 +228,13 @@ def _zero_expr_residual(exprs) -> float:
     return float(sum(0 if e.is_zero() else 1 for e in exprs))
 
 
+def _closure_failures(residual, indices, pairs) -> float:
+    """Nonzero residual(i, j, k, l) over every two index pairs (i, j), (k, l)
+    that pairs (itertools.permutations or combinations) draws from indices."""
+    ij = list(pairs(indices, 2))
+    return _zero_expr_residual(residual(*a, *b) for a in ij for b in ij)
+
+
 def algebra_suite(p: dict, *, shared: bool = True):
     """The algebra checks at D = p["D"]; shared=False leaves out the three
     that do not depend on D (relativistic Jacobi, Lorentz closure, quantum conditions)."""
@@ -251,13 +259,9 @@ def algebra_suite(p: dict, *, shared: bool = True):
     yield (f"shifted-coordinate-D{D}", "shifted-coordinate",
            _zero_expr_residual(bad), 0)
 
-    idx = list(alg.indices)
-    residuals = [
-        algebra.so_closure_residual(alg, i, j, k, l)
-        for i in idx for j in idx for k in idx for l in idx
-        if i != j and k != l
-    ]
-    yield f"j-closure-D{D}", "so-closure", _zero_expr_residual(residuals), 0
+    failures = _closure_failures(partial(algebra.so_closure_residual, alg), alg.indices,
+                                 permutations)
+    yield f"j-closure-D{D}", "so-closure", failures, 0
 
     diffs = []
     for (i, j, k, l) in [(1, 2, 2, 1), (1, 2, 2, 3)] if D >= 3 else [(1, 2, 2, 1)]:
@@ -280,15 +284,12 @@ def algebra_suite(p: dict, *, shared: bool = True):
     if not shared:
         return
 
-    pairs = list(combinations(rel.indices, 2))
-    residuals = [algebra.so_closure_residual(rel, *a, *b) for a in pairs for b in pairs]
-    yield ("lorentz-generator-closure", "lorentz-generator",
-           _zero_expr_residual(residuals), 0)
+    failures = _closure_failures(partial(algebra.so_closure_residual, rel), rel.indices,
+                                 combinations)
+    yield "lorentz-generator-closure", "lorentz-generator", failures, 0
 
     lp = 1.0
-    theta = np.zeros((4, 4))
-    theta[0, 1] = theta[2, 3] = lp**2
-    theta -= theta.T
+    theta = reps.vec_to_mat([lp**2, 0.0, 0.0, 0.0, 0.0, lp**2])  # theta^{01} = theta^{23}
     r1, r2 = algebra.quantum_conditions(theta, lp)
     yield ("quantum-conditions-selfdual", "quantum-conditions",
            abs(r1) + abs(r2), 1e-12)
@@ -335,14 +336,9 @@ def constraints_suite(p: dict):
     yield (f"dirac-constraint-surface-D{D}", "dirac-constraint-surface",
            bad, 0)
 
-    idx = list(ps.indices)
-    residuals = [
-        constraints.classical_j_closure_residual(db, i, j, k, l)
-        for i in idx for j in idx for k in idx for l in idx
-        if i != j and k != l
-    ]
-    yield (f"classical-j-closure-D{D}", "classical-so-closure",
-           _zero_expr_residual(residuals), 0)
+    failures = _closure_failures(partial(constraints.classical_j_closure_residual, db),
+                                 ps.indices, permutations)
+    yield f"classical-j-closure-D{D}", "classical-so-closure", failures, 0
 
     H = constraints.standard_hamiltonian(ps, m=1, omega=1, Lambda=1, Omega=1)
     bad = [
@@ -402,40 +398,26 @@ def reps_suite(p: dict):
 
 
 def _random_infinitesimal(rng: random.Random):
-    w_up, b = reps._zeros((4, 4), object), reps._zeros((4, 4), object)
-    for mu, nu in reps.PAIRS:
-        v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        w_up[mu, nu], w_up[nu, mu] = v, -v
-        u = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-        b[mu, nu], b[nu, mu] = u, -u
+    # per pair, omega^{mu nu} is drawn before b^{mu nu}
+    draws = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+              Fraction(rng.randint(-4, 4), rng.randint(1, 2))) for _ in reps.PAIRS]
+    w_up, b = (reps.vec_to_mat(np.array(v, dtype=object)) for v in zip(*draws))
     a = np.array([Fraction(rng.randint(-5, 5), 2) for _ in range(4)], dtype=object)
     return reps.InfinitesimalElement.from_antisymmetric(w_up, a, b)
 
 
 def _scalar_transform_commutator_residual() -> float:
+    # 9 points over [-1, 1] on x^0, x^1, theta^{01} and theta^{02}
     xs = np.linspace(-1.0, 1.0, 9)
-    shape = [1] * 10
-    origin = [0.0] * 10
-    spacing = [1.0] * 10
-    grids = []
-    for axis, use in enumerate([True, True, False, False, True, True] + [False] * 4):
-        n = 9 if use else 1
-        shape[axis] = n
-        origin[axis] = xs[0] if use else 0.0
-        spacing[axis] = xs[1] - xs[0] if use else 1.0
-        c = origin[axis] + spacing[axis] * np.arange(n)
-        view = [1] * 10
-        view[axis] = n
-        grids.append(c.reshape(view))
-    g = grids
-    values = (g[0] ** 2 + 2 * g[0] * g[1] + g[1] * g[4] + g[4] * g[5]
-              + g[5] ** 2 + 0.5 * g[0] * g[5])
-    values = np.broadcast_to(values, shape).astype(float).copy()
-    f = reps.SampledField(values, tuple(origin), tuple(spacing))
-    w_up = np.zeros((4, 4))
-    w_up[0, 1], w_up[1, 2] = 0.3, -0.2
-    w_up -= w_up.T
-    e1 = reps.InfinitesimalElement.from_antisymmetric(w_up)
+    used = (0, 1, 4, 5)
+    shape = tuple(9 if axis in used else 1 for axis in range(10))
+    origin = tuple(xs[0] if axis in used else 0.0 for axis in range(10))
+    spacing = tuple(xs[1] - xs[0] if axis in used else 1.0 for axis in range(10))
+    grid = reps.SampledField(np.empty(shape), origin, spacing)
+    t, x, q1, q2 = map(grid.coordinate, used)
+    values = t**2 + 2 * t * x + x * q1 + q1 * q2 + q2**2 + 0.5 * t * q2
+    f = reps.SampledField(values, origin, spacing)
+    e1 = reps.InfinitesimalElement.from_antisymmetric(reps.vec_to_mat([0.3, 0, 0, -0.2, 0, 0]))
     e2 = reps.InfinitesimalElement(
         np.zeros((4, 4)), np.array([0.7, -0.4, 0.0, 0.0]),
         reps.vec_to_mat([0.5, -0.3, 0, 0, 0, 0]),
@@ -481,10 +463,7 @@ def clifford_suite(p: dict):
         worst = _worst(worst, clifford.intertwining_residual(gs, omega))
     yield "boost-intertwining-10", "spinor-boost", worst, 1e-10
 
-    omega = np.zeros((4, 4))
-    omega[1, 2] = 2.0 * np.pi
-    omega -= omega.T
-    S = clifford.spinor_boost(gs, omega)
+    S = clifford.spinor_boost(gs, reps.vec_to_mat([0, 0, 0, 2.0 * np.pi, 0, 0]))
     yield ("two-pi-rotation-minus-identity", "spinor-boost",
            float(np.abs(S + np.eye(32)).max()), 1e-10)
 
@@ -597,8 +576,7 @@ def field_suite(p: dict):
     yield f"charge-drift-{p['steps']}-steps", "noether-charges", drift, 1e-6
 
     kvec = np.array([0.4, 0.0, 0.0])
-    k2 = np.zeros((4, 4))
-    k2[1, 2], k2[2, 1] = 0.6, -0.6
+    k2 = reps.vec_to_mat([0, 0, 0, 0.6, 0, 0])  # K2_{12}
     w = field.dispersion(kvec, k2, lam, m)
     worst = 0.0
     for sign in (+1, -1):
@@ -617,11 +595,8 @@ def field_suite(p: dict):
         w_eff = 2.0 / 0.05 * math.sin(math.pi * j[0] / 16)
         kx_eff = 2.0 / 0.2 * math.sin(math.pi * j[1] / 12)
         kq_eff = 2.0 / 0.25 * math.sin(math.pi * j[2] / 10)
-        K = field.ExtendedMomentum(
-            np.array([-w_eff, kx_eff, 0.0, 0.0]),
-            np.array([[0, 0, 0, 0], [0, 0, kq_eff, 0], [0, -kq_eff, 0, 0], [0, 0, 0, 0]]),
-            lam,
-        )
+        K = field.ExtendedMomentum(np.array([-w_eff, kx_eff, 0.0, 0.0]),
+                                   reps.vec_to_mat([0, 0, 0, kq_eff, 0, 0]), lam)
         worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real))
     yield "symbol-matches-propagator", "propagator", worst, 1e-9
 

@@ -32,12 +32,13 @@ the one this M realizes, verified entrywise in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
 
 from .algebra import so_pattern
-from .reps import ETA, PAIRS, antisymmetric, pair_slot
+from .reps import ETA, PAIRS, antisymmetric, minkowski_dot, pair_dot, pair_slot
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,15 +100,14 @@ def build_gammas() -> GammaSet:
 
 
 def anticommutator_residual(gs: GammaSet) -> float:
-    """Max-entry residual of {G^A, G^B} + 2 eta^{AB} over all 100 pairs."""
-    worst = 0.0
+    """Max-entry residual of {G^A, G^B} + 2 eta^{AB} over all 100 pairs; NaN if any is."""
+    residuals = []
     eye = np.eye(N_SPINOR)
-    for A in range(10):
-        for B in range(10):
-            anti = gs.gamma[A] @ gs.gamma[B] + gs.gamma[B] @ gs.gamma[A]
-            target = -2.0 * gs.eta[A] * eye if A == B else 0.0
-            worst = max(worst, float(np.abs(anti - target).max()))
-    return worst
+    for A, B in product(range(10), repeat=2):
+        anti = gs.gamma[A] @ gs.gamma[B] + gs.gamma[B] @ gs.gamma[A]
+        target = -2.0 * gs.eta[A] * eye if A == B else 0.0
+        residuals.append(np.abs(anti - target).max())
+    return float(np.max(residuals))
 
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,10 +116,7 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpinorGenerator:
-    m: np.ndarray  # (4, 4, 32, 32), antisymmetric in the first two axes
-
-    def upper(self, mu: int, nu: int) -> np.ndarray:
-        return self.m[mu, nu]
+    m: np.ndarray  # (4, 4, 32, 32) M^{mu nu}, antisymmetric in the first two axes
 
     def lower(self, mu: int, nu: int) -> np.ndarray:
         return ETA[mu, mu] * ETA[nu, nu] * self.m[mu, nu]
@@ -139,57 +136,46 @@ def spinor_generator(gs: GammaSet) -> SpinorGenerator:
 
 
 def lorentz_closure_residual(sg: SpinorGenerator) -> float:
-    """Max residual of the Lorentz algebra commutators of M."""
+    """Max residual of the Lorentz algebra commutators of M; NaN if any is."""
     M = lambda a, b: sg.m[a, b]
     eta = lambda a, b: ETA[a, b]
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            for rho in range(4):
-                for sig in range(4):
-                    lhs = _comm(sg.m[mu, nu], sg.m[rho, sig])
-                    rhs = 1j * so_pattern(M, eta, mu, nu, rho, sig)
-                    worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    residuals = []
+    for mu, nu, rho, sig in product(range(4), repeat=4):
+        lhs = _comm(sg.m[mu, nu], sg.m[rho, sig])
+        rhs = 1j * so_pattern(M, eta, mu, nu, rho, sig)
+        residuals.append(np.abs(lhs - rhs).max())
+    return float(np.max(residuals))
+
+
+def _covariance_residual(sg: SpinorGenerator, tensor, rank: int) -> float:
+    """Max residual of the covariance rule of a gamma tensor T = tensor(m1, .., mr),
+
+        [T^{m1..mr}, M_{ab}] = i sum_s (d^{ms}_b T^{..a..} - d^{ms}_a T^{..b..}),
+
+    where T^{..a..} has a lowered a in place of its s-th index; NaN if any is.
+    """
+    def lowered(idx, s, a):
+        return ETA[a, a] * tensor(*idx[:s], a, *idx[s + 1:])
+
+    residuals = []
+    for idx in product(range(4), repeat=rank):
+        for a, b in product(range(4), repeat=2):
+            lhs = _comm(tensor(*idx), sg.lower(a, b))
+            rhs = sum(1j * ((1.0 if mu == b else 0.0) * lowered(idx, s, a)
+                            - (1.0 if mu == a else 0.0) * lowered(idx, s, b))
+                      for s, mu in enumerate(idx))
+            residuals.append(np.abs(lhs - rhs).max())
+    return float(np.max(residuals))
 
 
 def vector_covariance_residual(gs: GammaSet, sg: SpinorGenerator) -> float:
     """Max residual of [G^mu, M_{ab}] = i(d^mu_b G_a - d^mu_a G_b)."""
-    worst = 0.0
-    for mu in range(4):
-        for a in range(4):
-            for b in range(4):
-                lhs = _comm(gs.vector(mu), sg.lower(a, b))
-                rhs = 1j * (
-                    (1.0 if mu == b else 0.0) * gs.vector_lower(a)
-                    - (1.0 if mu == a else 0.0) * gs.vector_lower(b)
-                )
-                worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    return _covariance_residual(sg, gs.vector, 1)
 
 
 def pair_covariance_residual(gs: GammaSet, sg: SpinorGenerator) -> float:
-    """Max residual of the Gamma^{mu nu} covariance commutator."""
-
-    def g_low_up(low, up):
-        # Gamma_a^{ nu} = eta_{a r} Gamma^{r nu}
-        return ETA[low, low] * gs.pair(low, up)
-
-    worst = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            for a in range(4):
-                for b in range(4):
-                    lhs = _comm(gs.pair(mu, nu), sg.lower(a, b))
-                    rhs = 1j * (
-                        (1.0 if mu == b else 0.0) * g_low_up(a, nu)
-                        - (1.0 if mu == a else 0.0) * g_low_up(b, nu)
-                    ) - 1j * (
-                        (1.0 if nu == b else 0.0) * g_low_up(a, mu)
-                        - (1.0 if nu == a else 0.0) * g_low_up(b, mu)
-                    )
-                    worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    """Max residual of the Gamma^{mu nu} covariance commutator (module docstring)."""
+    return _covariance_residual(sg, gs.pair, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +209,7 @@ def conjugate_dirac_operator(gs: GammaSet, k, K, lam: float, m: float) -> np.nda
 def quadratic_form(k, K, lam: float, m: float) -> float:
     """k^2 + (lam^2/2) K_{ab} K^{ab} + m^2, the generalized mass-shell form."""
     k = np.asarray(k, dtype=float)
-    K = np.asarray(K, dtype=float)
-    k_up = ETA @ k
-    K_up = ETA @ K @ ETA
-    return float(k @ k_up) + 0.5 * lam**2 * float(np.einsum("ab,ab->", K, K_up)) + m**2
+    return float(minkowski_dot(k, k)) + 0.5 * lam**2 * pair_dot(K, K) + m**2
 
 
 def dirac_square_residual(gs: GammaSet, k, K, lam: float, m: float) -> float:
@@ -258,7 +241,7 @@ def spinor_boost(gs: GammaSet, omega: np.ndarray) -> np.ndarray:
     for mu in range(4):
         for nu in range(4):
             if omega[mu, nu]:
-                gen = gen - 0.5j * omega[mu, nu] * sg.upper(mu, nu)
+                gen = gen - 0.5j * omega[mu, nu] * sg.m[mu, nu]
     S = expm(gen)
     if not np.all(np.isfinite(S)):
         raise FloatingPointError("matrix exponential did not converge")

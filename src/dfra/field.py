@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .reps import ETA, antisymmetric
+from .reps import antisymmetric, minkowski_dot, pair_dot, vec_to_mat
 from .symcore import (
     BracketTable,
     Expression,
@@ -57,19 +57,13 @@ class IllConditionedWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # continuum: dispersion and propagator
 
-def _pair_contraction(k2: np.ndarray) -> float:
-    """K_{mu nu} K^{mu nu} for an antisymmetric lower-index matrix."""
-    k2 = antisymmetric(np.asarray(k2, dtype=float), "theta-momentum")
-    upper = ETA @ k2 @ ETA
-    return float(np.einsum("mn,mn->", k2, upper))
-
-
 def dispersion(kvec1, k2, lam: float, m: float) -> float:
     """omega = sqrt(|k1|^2 + (lam^2/2) K2.K2 + m^2)."""
     kvec1 = np.asarray(kvec1, dtype=float)
     if kvec1.shape != (3,):
         raise ValueError("kvec1 must be the spatial 3-vector")
-    radicand = float(kvec1 @ kvec1) + 0.5 * lam**2 * _pair_contraction(k2) + m**2
+    k2 = antisymmetric(np.asarray(k2, dtype=float), "theta-momentum")
+    radicand = float(kvec1 @ kvec1) + 0.5 * lam**2 * pair_dot(k2, k2) + m**2
     if radicand < 0:
         raise TachyonicModeError(f"negative radicand {radicand}")
     return float(np.sqrt(radicand))
@@ -89,16 +83,15 @@ class ExtendedMomentum:
 
     def __post_init__(self):
         object.__setattr__(self, "k1", np.asarray(self.k1, dtype=float))
-        object.__setattr__(self, "k2", np.asarray(self.k2, dtype=float))
         if self.k1.shape != (4,):
             raise ValueError("k1 must be a 4-vector")
-        _pair_contraction(self.k2)  # validates shape/antisymmetry
+        k2 = antisymmetric(np.asarray(self.k2, dtype=float), "theta-momentum")
+        object.__setattr__(self, "k2", k2)
 
     def squared(self) -> float:
         """K^2 = K1.K1 + (lam^2/2) K2.K2 (metric contractions)."""
-        return float(self.k1 @ ETA @ self.k1) + 0.5 * self.lam**2 * _pair_contraction(
-            self.k2
-        )
+        k1_squared = float(minkowski_dot(self.k1, self.k1))
+        return k1_squared + 0.5 * self.lam**2 * pair_dot(self.k2, self.k2)
 
 
 def propagator(K: ExtendedMomentum, m: float, eps: float = 0.0) -> complex:
@@ -323,8 +316,7 @@ def plane_wave_mode(
     nt, nx, nq = shape
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
-    k2 = np.zeros((4, 4))
-    k2[1, 2], k2[2, 1] = kappa, -kappa
+    k2 = vec_to_mat([0.0, 0.0, 0.0, kappa, 0.0, 0.0])  # K2_{12} = kappa
     omega = frequency_sign * dispersion([k, 0.0, 0.0], k2, lam, m)
     t = (dt * np.arange(nt)).reshape(nt, 1, 1)
     x = (dx * np.arange(nx)).reshape(1, nx, 1)

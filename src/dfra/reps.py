@@ -147,12 +147,11 @@ def mat_to_vec(b: np.ndarray) -> np.ndarray:
 
 
 def vec_to_mat(v) -> np.ndarray:
-    """6-vector back to an antisymmetric 4x4."""
+    """6-vector back to an antisymmetric 4x4; an exact (object) one has Fraction(0) zeros."""
     v = np.asarray(v)
-    out = np.zeros((4, 4), dtype=v.dtype)
-    for s, (mu, nu) in enumerate(PAIRS):
-        out[mu, nu] = v[s]
-        out[nu, mu] = -v[s]
+    out = _zeros((4, 4), v.dtype)
+    out[_MU, _NU] = v
+    out[_NU, _MU] = -v
     return out
 
 
@@ -316,9 +315,9 @@ def scaled_reps(g: GroupElement) -> tuple[Scaled, ...]:
 
 
 def _zeros(shape, dtype) -> np.ndarray:
-    """Zero array; an exact (object) one holds Fraction(0)."""
+    """Zero array of dtype; an exact (object) one holds Fraction(0)."""
     if dtype != object:
-        return np.zeros(shape)
+        return np.zeros(shape, dtype)
     out = np.empty(shape, dtype=object)
     out.fill(Fraction(0))
     return out
@@ -464,12 +463,8 @@ def random_exact_element(rng) -> GroupElement:
             factor = exact_boost(rng.randint(1, 3), Fraction(rng.randint(-3, 3), 7))
         lam = lam @ Scaled.of(factor)
     a = np.array([Fraction(rng.randint(-6, 6), 3) for _ in range(4)], dtype=object)
-    bm = _zeros((4, 4), object)
-    for mu, nu in PAIRS:
-        v = Fraction(rng.randint(-6, 6), 2)
-        bm[mu, nu] = v
-        bm[nu, mu] = -v
-    return GroupElement(lam.array(), a, bm)
+    b = np.array([Fraction(rng.randint(-6, 6), 2) for _ in PAIRS], dtype=object)
+    return GroupElement(lam.array(), a, vec_to_mat(b))
 
 
 def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
@@ -486,8 +481,15 @@ def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.nda
 
 
 def minkowski_dot(u, v) -> float:
+    """u_mu v^mu; exact for exact (object) vectors."""
     u, v = Scaled.of(u), Scaled.of(v)
     return (u @ (_eta(u) @ v)).array()[()]
+
+
+def pair_dot(A, B) -> float:
+    """A_{mu nu} B^{mu nu}, B's indices raised with the metric (floats)."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return float(np.einsum("mn,mn->", A, ETA @ B @ ETA))
 
 
 def orbital_m1(x_ref, k) -> np.ndarray:
@@ -547,19 +549,14 @@ def casimirs(k, K, m1=None, m2=None, x_ref=None, theta_ref=None):
     The 1/2 in C3 and C4 is the independent-component normalization.
     """
     k = np.asarray(k, dtype=float)
-    K = np.asarray(K, dtype=float)
-    antisymmetric(K, "K")
-    c1 = float(k.dot(ETA).dot(k))
-    k_lower = ETA.dot(K).dot(ETA)
-    c3 = 0.5 * float(np.einsum("mn,mn->", K, k_lower))
+    K = antisymmetric(np.asarray(K, dtype=float), "K")
     if m1 is None:
         m1 = orbital_m1(np.zeros(4) if x_ref is None else x_ref, k)
-    s = pauli_lubanski(m1, k)
-    c2 = float(s.dot(ETA).dot(s))
     if m2 is None:
         m2 = orbital_m2(np.zeros((4, 4)) if theta_ref is None else theta_ref, K)
-    c4 = 0.5 * float(np.einsum("mn,mn->", np.asarray(m2, dtype=float), k_lower))
-    return c1, c2, c3, c4
+    s = pauli_lubanski(m1, k)
+    c1, c2 = float(minkowski_dot(k, k)), float(minkowski_dot(s, s))
+    return c1, c2, 0.5 * pair_dot(K, K), 0.5 * pair_dot(m2, K)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,10 @@ class Expression:
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Expression is immutable")
 
+    def __reduce__(self):
+        # the default slot restore would go through the guard above
+        return Expression, (self.terms,)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod

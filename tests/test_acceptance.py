@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,5 +393,13 @@ def test_criterion_9_end_to_end(tmp_path):
     assert {check["paper_ref"] for check in report["checks"]} == set(REFERENCES) - {"plumbing"}
     names = [check["name"] for check in report["checks"]]
     assert len(names) == len(set(names)), "record names repeat"
+    # the record list, in order, is pinned: name<TAB>paper_ref per line
+    golden = Path(__file__).parent / "goldens" / "suite_all_records.txt"
+    want = [tuple(line.split("\t")) for line in golden.read_text().splitlines()
+            if not line.startswith("#")]
+    assert [(check["name"], check["paper_ref"]) for check in report["checks"]] == want
+    # an exact check passes only on an exactly zero residual
+    inexact = [c["name"] for c in report["checks"] if c["tolerance"] == 0 and c["residual"] != 0]
+    assert not inexact, inexact
     _announce(9, f"run --suite all: {report['summary']['passed']} checks pass, "
                  f"exit 0 in {elapsed:.0f} s; every record reference resolves")

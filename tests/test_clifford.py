@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dfra.clifford import (
+    GammaSet,
+    SpinorGenerator,
     anticommutator_residual,
     build_gammas,
     conjugate_dirac_operator,
@@ -96,6 +98,21 @@ def test_vector_covariance_commutators():
 
 def test_pair_covariance_commutators():
     assert pair_covariance_residual(GS, SG) < 1e-12
+
+
+def test_residuals_keep_a_nan():
+    # a NaN after a finite residual must not be folded away into a pass
+    gamma = GS.gamma.copy()
+    gamma[7, 0, 0] = np.nan  # Gamma^{12}
+    gs_nan = GammaSet(gamma, GS.eta)
+    m = SG.m.copy()
+    m[2, 3, 0, 0] = m[3, 2, 0, 0] = np.nan
+    sg_nan = SpinorGenerator(m)
+    assert np.isnan(anticommutator_residual(gs_nan))
+    assert np.isnan(pair_covariance_residual(gs_nan, SG))
+    assert np.isnan(lorentz_closure_residual(sg_nan))
+    assert np.isnan(vector_covariance_residual(GS, sg_nan))
+    assert np.isnan(pair_covariance_residual(GS, sg_nan))
 
 
 def test_gamma0_m01_commutator_is_delta_selected_gamma():

@@ -30,6 +30,7 @@ from dfra.reps import (
     generator_matrix,
     mat_to_vec,
     minkowski_dot,
+    pair_dot,
     pair_slot,
     pauli_lubanski,
     random_exact_element,
@@ -72,6 +73,11 @@ def test_pair_basis_round_trip():
         assert pair_slot(nu, mu) == (s, -1)
     v = np.arange(6.0)
     assert np.array_equal(mat_to_vec(vec_to_mat(v)), v)
+    exact = np.array([Fraction(k, 3) for k in range(1, 7)], dtype=object)
+    m = vec_to_mat(exact)
+    assert np.array_equal(mat_to_vec(m), exact) and np.array_equal(m, -m.T)
+    # the diagonal of an exact tensor is Fraction(0), like every other entry
+    assert all(type(x) is Fraction for x in m.flat)
 
 
 def test_d_matrices_at_identity():
@@ -334,6 +340,17 @@ def test_c3_value_matches_pair_sum():
 def test_minkowski_dot_signature():
     assert minkowski_dot([1, 0, 0, 0], [1, 0, 0, 0]) == pytest.approx(-1.0)
     assert minkowski_dot([0, 1, 0, 0], [0, 1, 0, 0]) == pytest.approx(1.0)
+
+
+def test_pair_dot_raises_both_indices():
+    rng = np.random.default_rng(11)
+    A, B = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+    eta = np.diag(ETA)
+    want = sum(A[m, n] * eta[m] * eta[n] * B[m, n] for m in range(4) for n in range(4))
+    assert pair_dot(A, B) == pytest.approx(want, rel=1e-13, abs=1e-13)
+    # a time-space component flips sign, a space-space one does not
+    K = vec_to_mat([1.0, 0, 0, 0, 0, 2.0])
+    assert pair_dot(K, K) == -2.0 + 8.0
 
 
 # -- sampled scalar fields ------------------------------------------------------

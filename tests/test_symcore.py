@@ -90,6 +90,25 @@ def test_generators_are_interned_and_immutable(g):
         del g.name
 
 
+_TABLE_GENERATORS = sorted(TABLE.universe, key=lambda g: g.sort_key)
+_GAUSS_COEFFS = st.builds(GaussRat, _RATIONALS, _RATIONALS)
+_TABLE_EXPRESSIONS = st.dictionaries(
+    st.lists(st.sampled_from(_TABLE_GENERATORS), max_size=3).map(tuple),
+    _GAUSS_COEFFS, max_size=4,
+).map(Expression)
+
+
+@given(_TABLE_EXPRESSIONS)
+def test_parsed_expression_pickles(e):
+    parsed = parse_expression(format_expression(e), TABLE)
+    for expr in (e, parsed):
+        copy = pickle.loads(pickle.dumps(expr))
+        assert copy == expr and copy.terms == expr.terms
+        assert format_expression(copy) == format_expression(expr)
+    with pytest.raises(AttributeError):
+        copy.terms = {}
+
+
 def test_expression_checked_on_one_table_is_checked_again_on_another():
     small = algebra.build(2).table
     born = bracket(ALG.x(1), ALG.x(3), TABLE)  # i theta[1,3], built by TABLE
