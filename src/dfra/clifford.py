@@ -32,13 +32,13 @@ the one this M realizes, verified entrywise in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import so_pattern
-from .reps import ETA, PAIRS, antisymmetric, minkowski_dot, pair_dot, pair_slot
+from .reps import ETA, PAIRS, antisymmetric, expm, minkowski_dot, pair_dot, pair_slot
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -84,6 +84,11 @@ class GammaSet:
             return np.zeros((N_SPINOR, N_SPINOR), dtype=complex)
         slot, sign = pair_slot(mu, nu)
         return sign * self.gamma[4 + slot]
+
+    @cached_property
+    def generator(self) -> "SpinorGenerator":
+        """spinor_generator(self), built on first use and kept."""
+        return spinor_generator(self)
 
 
 def build_gammas() -> GammaSet:
@@ -236,7 +241,7 @@ def spinor_boost(gs: GammaSet, omega: np.ndarray) -> np.ndarray:
     L = vector_matrix(omega).
     """
     omega = antisymmetric(np.asarray(omega, dtype=float), "omega")
-    sg = spinor_generator(gs)
+    sg = gs.generator
     gen = np.zeros((N_SPINOR, N_SPINOR), dtype=complex)
     for mu in range(4):
         for nu in range(4):

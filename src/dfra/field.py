@@ -26,6 +26,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
+# numpy loads it on first use; importing it here keeps that load out of the
+# runtime of the first record that uses it
+import numpy.fft
 
 from .reps import antisymmetric, minkowski_dot, pair_dot, vec_to_mat
 from .symcore import (

@@ -6,7 +6,7 @@ stiffness parameter Lambda (units length^-3).  The theta ground state is a
 Gaussian whose square is the weight function W used to average over
 noncommutativity; every closed-form moment here is cross-checked by an
 independent quadrature / Monte Carlo oracle, and the vacuum shift by a
-finite-difference diagonalization of one theta mode.
+discrete-variable-representation diagonalization of one theta mode.
 
 Conventions: theta_{ij} theta^{ij} = 2 sum_{i<j} (theta^{ij})^2, and
 theta^2 denotes half that contraction, i.e. the sum over the independent
@@ -32,7 +32,10 @@ from itertools import combinations
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+# numpy loads these on first use; importing them here keeps that load out of
+# the runtime of the first record that uses them
+import numpy.polynomial
+import numpy.random
 
 
 class QuadratureUnsupportedError(ValueError):
@@ -90,40 +93,44 @@ def vacuum_shift(cfg: OscillatorConfig) -> float:
     return cfg.D * (cfg.D - 1) * cfg.Omega / 4.0
 
 
-# Interior points of the coarsest finite-difference grid of vacuum_shift_oracle;
-# each further grid has 2 * points + 1, so its step is half the one before.
-_FD_POINTS = 255
+# Grid sizes of the sinc-DVR diagonalizations in vacuum_shift_oracle.
+_DVR_POINTS = (41, 81)
 
 
 def vacuum_shift_oracle(cfg: OscillatorConfig) -> tuple[float, float]:
     """Independent estimate of vacuum_shift, as (value, error).
 
     n_modes times the lowest eigenvalue of one theta mode,
-    H = pi^2/(2 Lambda) + (1/2) Lambda Omega^2 theta^2, with the second-order
-    finite-difference Laplacian on |theta| <= 8/sqrt(Lambda Omega) (the
-    ground state is e^{-32} of its peak at the ends, which are held at 0).
-    The scheme's eigenvalue error is a h^2 + b h^4 + O(h^6), so the Richardson
-    value R(h) = (4 E_{h/2} - E_h)/3 is off by about b h^4/4.  From grids of
-    step h, h/2 and h/4 the value is R(h/2); its error, about b h^4/64, is
-    bounded by |R(h/2) - R(h)| (about 15 b h^4/64), the returned error.
+    H = -(1/(2 Lambda)) d^2/dtheta^2 + (1/2) Lambda Omega^2 theta^2, from
+    numpy.linalg.eigvalsh of its sinc discrete-variable representation
+    (Colbert and Miller, J. Chem. Phys. 96, 1982 (1992)) on n equally spaced
+    points spanning |theta| <= 8/sqrt(Lambda Omega), where the ground state
+    is e^{-32} of its peak.  With step h the kinetic matrix is
+    T_ij = (-1)^(i-j) 2/(i-j)^2 / (2 Lambda h^2), pi^2/3 in place of
+    2/(i-j)^2 on the diagonal.  The value comes from 81 points.  The DVR
+    error falls exponentially as h shrinks, so the 41-point value is much
+    further off than the 81-point one, and the returned error is their gap
+    plus a bound on eigvalsh's rounding at 81 points, n eps ||H||_inf (the
+    row-sum norm bounds the 2-norm of the symmetric H), both times n_modes.
     """
     half = 8.0 / math.sqrt(cfg.Lambda * cfg.Omega)
-    points = (_FD_POINTS, 2 * _FD_POINTS + 1, 4 * _FD_POINTS + 3)
-    coarse, middle, fine = (_lowest_fd_eigenvalue(cfg, half, m) for m in points)
-    previous = (4.0 * middle - coarse) / 3.0
-    value = (4.0 * fine - middle) / 3.0
+    (coarse, _), (fine, rounding) = (_lowest_dvr_eigenvalue(cfg, half, n)
+                                     for n in _DVR_POINTS)
     n = cfg.n_modes
-    return n * value, n * abs(value - previous)
+    return n * fine, n * (abs(fine - coarse) + rounding)
 
 
-def _lowest_fd_eigenvalue(cfg: OscillatorConfig, half: float, points: int) -> float:
-    h = 2.0 * half / (points + 1)
-    theta = -half + h * np.arange(1, points + 1)
-    kinetic = 1.0 / (2.0 * cfg.Lambda * h * h)
-    diagonal = 2.0 * kinetic + 0.5 * cfg.Lambda * cfg.Omega**2 * theta**2
-    lowest = eigh_tridiagonal(diagonal, np.full(points - 1, -kinetic), eigvals_only=True,
-                              select="i", select_range=(0, 0))
-    return float(lowest[0])
+def _lowest_dvr_eigenvalue(cfg: OscillatorConfig, half: float,
+                           points: int) -> tuple[float, float]:
+    """Lowest sinc-DVR eigenvalue of one theta mode and its rounding bound."""
+    h = 2.0 * half / (points - 1)
+    theta = np.linspace(-half, half, points)
+    k = np.subtract.outer(np.arange(points), np.arange(points))
+    T = 2.0 * (-1.0) ** k / np.maximum(k * k, 1)
+    np.fill_diagonal(T, math.pi**2 / 3.0)
+    H = T / (2.0 * cfg.Lambda * h * h) + np.diag(0.5 * cfg.Lambda * cfg.Omega**2 * theta**2)
+    lowest = float(np.linalg.eigvalsh(H)[0])
+    return lowest, points * np.finfo(float).eps * float(np.abs(H).sum(axis=1).max())
 
 
 def level_degeneracy(D: int, n: int) -> int:
@@ -193,13 +200,17 @@ def moment(cfg: OscillatorConfig, which: str, indices: tuple[int, ...] | None = 
 
 
 def x2_expectation(cfg: OscillatorConfig, X2: float, p2: float) -> float:
-    """<x^2> = <X^2> + (2/D) <theta^2> <p^2>.
+    """<x^2> = <X^2> + <theta^2> <p^2> / (2D).
 
     X2 and p2 are ordinary-oscillator expectation values supplied by the
-    caller for the chosen x-sector state; the noncommutative correction uses
-    the theta2 moment of this configuration.
+    caller for an isotropic x-sector state, so <p_j^2> = <p^2>/D.  With
+    x_i = X_i - (1/2) theta^{ij} p_j (algebra.shifted_coordinate) and theta
+    averaged over W independently of the x sector, the cross terms vanish
+    and <x^2> = <X^2> + (1/4) sum_{i != j} <(theta^{ij})^2> <p_j^2>; the sum
+    over ordered pairs counts each independent component twice, which gives
+    2 <theta^2> <p^2>/D.
     """
-    return X2 + (2.0 / cfg.D) * moment(cfg, "theta2") * p2
+    return X2 + moment(cfg, "theta2") * p2 / (2.0 * cfg.D)
 
 
 class MomentEstimate(NamedTuple):

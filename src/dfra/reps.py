@@ -467,10 +467,51 @@ def random_exact_element(rng) -> GroupElement:
     return GroupElement(lam.array(), a, vec_to_mat(b))
 
 
+# [13/13] Pade approximant of exp: numerator coefficients b_0..b_13; the
+# denominator has the odd ones negated.  theta_13 is the largest 1-norm at
+# which its backward error stays under the double unit roundoff (Higham,
+# SIAM J. Matrix Anal. Appl. 26 (2005), Table 2.3).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by scaling and squaring (Higham 2005, degree 13).
+
+    a is scaled by 2^-s so that its 1-norm is at most theta_13, the Pade
+    approximant r = (V - U)^-1 (V + U) is evaluated from A^2, A^4 and A^6,
+    and r is squared s times.  NaN or infinite input (or a 1-norm that
+    overflows) is a ValueError, so s is always finite.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("expm needs finite entries")
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    a = a * 2.0**-s
+    b = _PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
     """Random proper Lorentz matrix via the exponential of a generator."""
-    from scipy.linalg import expm
-
     upper = rng.normal(0.0, scale, (4, 4))
     upper = upper - upper.T
     return expm(upper.dot(ETA))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import dfra
-from dfra import field, symcore
+from dfra import field, oscillator, symcore
 from dfra.cli import (
     REFERENCES,
     REPORT_SCHEMA,
@@ -96,6 +96,24 @@ def test_x2_spread_uses_the_run_parameters(monkeypatch):
 
 
 @pytest.mark.parametrize("wrong", [
+    lambda cfg, X2, p2: X2 + (2.0 / cfg.D) * oscillator.moment(cfg, "theta2") * p2,
+    lambda cfg, X2, p2: X2,
+    lambda cfg, X2, p2: (1 + 1e-6) * (X2 + oscillator.moment(cfg, "theta2") * p2 / 6.0),
+], ids=["x-equals-X-minus-theta-p", "no-shift", "relative-1e-6"])
+def test_x2_spread_record_fails_on_a_wrong_spread(monkeypatch, wrong):
+    # the old closed form, x = X - theta p, passed as "x2 >= X2" whatever it said
+    params = parse_params(["samples=1000"])
+
+    def record():
+        report = run_suite("oscillator", params)
+        return next(c for c in report["checks"] if c["name"] == "x2-spread-ground-state-D3")
+
+    assert record()["status"] == "pass"
+    monkeypatch.setattr(oscillator, "x2_expectation", wrong)
+    assert record()["status"] == "fail"
+
+
+@pytest.mark.parametrize("wrong", [
     lambda cfg: cfg.D ** 2 * cfg.Omega / 4.0,
     lambda cfg: 1.001 * cfg.D * (cfg.D - 1) * cfg.Omega / 4.0,
     lambda cfg: (1 + 1e-6) * cfg.D * (cfg.D - 1) * cfg.Omega / 4.0,
@@ -170,14 +188,20 @@ def test_pole_check_without_a_bracketed_root_raises(monkeypatch, error):
         run_suite("field", parse_params([]))
 
 
-def test_suite_all_leaves_scipy_optimize_unimported(tmp_path):
-    # a check's first-use import would land in its record's runtime
+def test_runtime_needs_no_scipy_and_the_pass_imports_nothing(tmp_path):
+    # scipy is a test dependency only; and a check's first-use import would
+    # land in its record's runtime
     script = (
         "import sys\n"
-        "from dfra.cli import main\n"
+        "from dfra.cli import main, parse_params, run_suite\n"
+        "loaded = set(sys.modules)\n"
+        "assert run_suite('all', parse_params([]))['summary']['failed'] == 0\n"
+        "extra = sorted(set(sys.modules) - loaded)\n"
+        "assert not extra, extra\n"
         "code = main(['run', '--suite', 'all', '--format', 'json', '--out', sys.argv[1]])\n"
         "assert code == 0, code\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not scipy, scipy\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(dfra.__file__)))
     subprocess.run([sys.executable, "-c", script, str(tmp_path / "report.json")],

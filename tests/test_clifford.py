@@ -197,6 +197,24 @@ def test_intertwining_small_random_omegas():
         assert intertwining_residual(GS, omega) < 1e-10
 
 
+def test_spinor_boost_builds_the_generator_once_per_gamma_set(monkeypatch):
+    from dfra import clifford
+
+    built = []
+    original = clifford.spinor_generator
+    monkeypatch.setattr(clifford, "spinor_generator",
+                        lambda gs: built.append(gs) or original(gs))
+    gs = build_gammas()
+    omega = vec_to_mat([0.1, -0.2, 0.3, 0.4, -0.5, 0.6])
+    boosts = [spinor_boost(gs, omega) for _ in range(3)]
+    intertwining_residual(gs, omega)
+    assert built == [gs]
+    # the kept generator gives the bits of a first call on a fresh set
+    fresh = build_gammas()
+    assert all(np.array_equal(S, spinor_boost(fresh, omega)) for S in boosts)
+    assert built == [gs, fresh]
+
+
 def test_spinor_boost_rejects_nonantisymmetric():
     with pytest.raises(ValueError):
         spinor_boost(GS, np.eye(4))

@@ -47,9 +47,18 @@ def test_vacuum_shift_oracle_brackets_the_exact_shift(D, Lambda, Omega):
     exact = cfg.n_modes * Omega / 2.0
     value, error = vacuum_shift_oracle(cfg)
     assert abs(value - exact) <= error
-    # the bound is the O(h^4) gap between two Richardson values; at 255, 511 and
-    # 1023 points it sits near 1.4e-8 of the shift, and the value 15 times closer
-    assert 0 < error <= 1e-7 * exact
+    # the error is the gap between the 41- and 81-point DVR values plus the
+    # eigvalsh rounding bound; the rounding bound dominates, near 5e-12 of the shift
+    assert 0 < error <= 1e-10 * exact
+
+
+@pytest.mark.parametrize("D", [2, 3])
+@pytest.mark.parametrize("Lambda, Omega", [(1, 1), (2, 0.7), (0.3, 3)])
+def test_vacuum_shift_oracle_error_is_positive_and_brackets_the_shift(D, Lambda, Omega):
+    cfg = OscillatorConfig(D=D, Lambda=Lambda, Omega=Omega)
+    value, error = vacuum_shift_oracle(cfg)
+    assert error > 0
+    assert value - error <= vacuum_shift(cfg) <= value + error
 
 
 def test_omega_zero_limit_is_ordinary_ladder():
@@ -278,10 +287,31 @@ def test_x2_expectation_ground_state():
     # Ladder-operator values for the isotropic oscillator ground state,
     # m = omega = 1: <X^2> = D/2, <p^2> = D/2.
     cfg2 = OscillatorConfig(D=2, Lambda=1, Omega=1)
-    assert x2_expectation(cfg2, 1.0, 1.0) == pytest.approx(1.0 + (2 / 2) * 0.5 * 1.0)
+    # theta2 = 1/2, so the shift is (1/2)(1)/(2*2) = 1/8
+    assert x2_expectation(cfg2, 1.0, 1.0) == pytest.approx(1.125)
     cfg3 = OscillatorConfig(D=3, Lambda=1, Omega=1)
-    # theta2 = 3/2 here, so the shift is (2/3)(3/2)(3/2) = 3/2
-    assert x2_expectation(cfg3, 1.5, 1.5) == pytest.approx(3.0)
+    # theta2 = 3/2, so the shift is (3/2)(3/2)/(2*3) = 3/8
+    assert x2_expectation(cfg3, 1.5, 1.5) == pytest.approx(1.875)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_x2_expectation_matches_sampled_x_equals_X_minus_half_theta_p(D):
+    # x_i = X_i - (1/2) theta^{ij} p_j with X, p from the ground state of an
+    # oscillator with m omega = 0.8 and theta from W (Lambda Omega = 0.6)
+    cfg = OscillatorConfig(D=D, m=2.0, omega=0.4, Lambda=1.5, Omega=0.4)
+    mw, n = 0.8, 200_000
+    rng = np.random.default_rng(2024)
+    X = rng.normal(0.0, math.sqrt(1 / (2 * mw)), (n, D))
+    p = rng.normal(0.0, math.sqrt(mw / 2), (n, D))
+    theta = np.zeros((n, D, D))
+    comps = rng.normal(0.0, math.sqrt(1 / (2 * cfg.Lambda * cfg.Omega)), (n, cfg.n_modes))
+    for c, (i, j) in enumerate(cfg.mode_pairs):
+        theta[:, i - 1, j - 1] = comps[:, c]
+        theta[:, j - 1, i - 1] = -comps[:, c]
+    x = X - 0.5 * np.einsum("nij,nj->ni", theta, p)
+    x2 = (x * x).sum(axis=1)
+    want = x2_expectation(cfg, D / (2 * mw), D * mw / 2)
+    assert abs(x2.mean() - want) <= 4 * x2.std() / math.sqrt(n)
 
 
 def test_x2_expectation_never_below_X2():

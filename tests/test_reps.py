@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
+from dfra.clifford import build_gammas
 from dfra.reps import (
     ETA,
     antisymmetric,
@@ -27,6 +30,7 @@ from dfra.reps import (
     d5,
     exact_boost,
     exact_rotation,
+    expm,
     generator_matrix,
     mat_to_vec,
     minkowski_dot,
@@ -220,7 +224,7 @@ def test_d2_first_order_is_derivative_of_d2():
     w_up = w_up - w_up.T
     errors = []
     for eps in (1e-3, 5e-4):
-        lam = expm(eps * w_up.dot(ETA))
+        lam = scipy_expm(eps * w_up.dot(ETA))
         g = GroupElement.pure_lorentz(lam)
         e = InfinitesimalElement.from_antisymmetric(eps * w_up)
         errors.append(np.abs(d2(g) - np.eye(6) - d2_first_order(e.omega)).max())
@@ -275,6 +279,71 @@ def test_commutator_on_random_11_vector():
     g1, g2 = generator_matrix(e1), generator_matrix(e2)
     assert _exact_equal(g1.dot(g2.dot(y)) - g2.dot(g1.dot(y)),
                         generator_matrix(e3).dot(y))
+
+
+# -- matrix exponential --------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_SPINOR_M = build_gammas().generator.m
+
+
+def _expm_bound(a, reference):
+    # a backward-stable expm is off by about eps times the condition number,
+    # which is at least the 1-norm of a
+    norm = np.abs(a).sum(axis=0).max()
+    return _EPS * (1 + norm) * np.abs(reference).max()
+
+
+def _assert_expm_matches_scipy(a):
+    # scipy is the looser of the two: on boosts of rapidity 4-5 it is off by
+    # up to about 540 of these units from a 40-digit expm, reps.expm by 3
+    want = scipy_expm(a)
+    assert np.abs(expm(a) - want).max() <= 1024 * _expm_bound(a, want)
+
+
+@given(st.lists(st.floats(-1, 1), min_size=16, max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_expm_matches_scipy_on_real_4x4(entries):
+    _assert_expm_matches_scipy(np.array(entries).reshape(4, 4))
+
+
+@given(st.lists(st.floats(-3, 3), min_size=6, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_expm_matches_scipy_on_lorentz_generators(upper):
+    # the generators random_float_lorentz exponentiates, up to 7 sigma at its scale
+    _assert_expm_matches_scipy(vec_to_mat(upper).dot(ETA))
+
+
+@given(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_expm_matches_scipy_on_spinor_generators(omega):
+    # -(i/2) omega_{mu nu} M^{mu nu}, the 32x32 complex exponent of spinor_boost
+    _assert_expm_matches_scipy(-0.5j * np.einsum("mn,mnab->ab", vec_to_mat(omega), _SPINOR_M))
+
+
+@pytest.mark.parametrize("t", [0.1, 5.0, 40.0, 1000.0])
+def test_expm_of_a_rotation_generator_is_the_rotation(t):
+    # 1-norm t: no squaring at 0.1 and 5, then 3 and 8 squarings
+    a = np.array([[0.0, -t], [t, 0.0]])
+    want = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    assert np.abs(expm(a) - want).max() <= 64 * _expm_bound(a, want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)],
+                         ids=["nan", "inf", "-inf", "complex-nan"])
+@pytest.mark.parametrize("n", [4, 32])
+def test_expm_rejects_nonfinite_input(bad, n):
+    a = np.zeros((n, n), dtype=complex if isinstance(bad, complex) else float)
+    a[n - 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        expm(a)
+
+
+def test_expm_rejects_an_overflowing_norm_and_nonsquare_input():
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        expm(np.full((4, 4), 1e308))  # every entry finite, the 1-norm is not
+    with pytest.raises(ValueError, match="square"):
+        expm(np.zeros((3, 4)))
 
 
 # -- Casimirs -----------------------------------------------------------------
