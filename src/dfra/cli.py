@@ -304,13 +304,7 @@ def constraints_suite(p: dict):
     cs = constraints.dfra_constraints(ps)
 
     db = constraints.DiracBracket(ps, cs)
-    delta = db.delta.scalar_matrix()
-    mism = 0
-    for a in range(2 * D):
-        for b in range(2 * D):
-            expect = 1 if b == a + D else (-1 if a == b + D else 0)
-            mism += delta[a][b] != GaussRat(expect)
-    yield f"constraint-matrix-D{D}", "constraint-matrix", mism, 0
+    yield f"constraint-matrix-D{D}", "constraint-matrix", _canonical_mismatches(ps, db.delta), 0
 
     alg = algebra.build(D)
     mism = 0
@@ -353,15 +347,17 @@ def constraints_suite(p: dict):
            _zero_expr_residual([normal_form(b, ps.table) for b in bad]), 0)
 
     psr = constraints.build_phase_space(3, relativistic=True)
-    csr = constraints.dfra_constraints(psr)
-    deltar = constraints.constraint_matrix(psr, csr).scalar_matrix()
-    n = 4
-    mism = 0
-    for a in range(n):
-        for b in range(n):
-            mism += deltar[a][b + n] != GaussRat(psr.metric(a, b))
-            mism += deltar[a + n][b] != GaussRat(-psr.metric(a, b))
-    yield "constraint-matrix-relativistic", "constraint-matrix", mism, 0
+    deltar = constraints.constraint_matrix(psr, constraints.dfra_constraints(psr))
+    yield "constraint-matrix-relativistic", "constraint-matrix", _canonical_mismatches(psr, deltar), 0
+
+
+def _canonical_mismatches(ps, delta) -> int:
+    """Entries of the (2n)^2 constraint matrix off [[0, g], [-g, 0]], g the metric of ps."""
+    m, idx = delta.scalar_matrix(), ps.indices
+    n = len(idx)
+    sign = ((0, 1), (-1, 0))
+    return sum(m[a][b] != GaussRat(sign[a // n][b // n] * ps.metric(idx[a % n], idx[b % n]))
+               for a in range(2 * n) for b in range(2 * n))
 
 
 def reps_suite(p: dict):
@@ -476,27 +472,27 @@ def oscillator_suite(p: dict):
     cfgs = {D: oscillator.OscillatorConfig(m=p["m"], omega=p["omega"], Lambda=p["Lambda"],
                                            Omega=p["Omega"], D=D) for D in (2, 3)}
 
+    def theta2(th):
+        return (th * th).sum(axis=-1)
+
+    quad = {}  # D -> {moment: quadrature value}, reused by the moment table records
     for D, cfg in cfgs.items():
-        worst = 0.0
         M = cfg.n_modes
-        est = oscillator.moment_oracle(cfg, oscillator.monomial((0,) * M))
-        worst = _worst(worst, abs(est.value - 1.0))
+        first2 = (2,) + (0,) * (M - 1)  # theta_1^2, whose mean is the pair moment
+        # <1> = 1, and per component <theta_c> = 0 and <theta_c^2> = the pair moment
+        want = {(0,) * M: 1.0}
         for c in range(M):
-            e1 = [0] * M
-            e1[c] = 1
-            est = oscillator.moment_oracle(cfg, oscillator.monomial(tuple(e1)))
-            worst = _worst(worst, abs(est.value - 0.0))
-            e1[c] = 2
-            est = oscillator.moment_oracle(cfg, oscillator.monomial(tuple(e1)))
-            worst = _worst(worst, abs(est.value - oscillator.moment(cfg, "theta_ij_theta_kl")))
-        est = oscillator.moment_oracle(cfg, lambda th: (th * th).sum(axis=-1))
-        worst = _worst(worst, abs(est.value - oscillator.moment(cfg, "theta2")))
+            for power, mean in ((1, 0.0), (2, oscillator.moment(cfg, "theta_ij_theta_kl"))):
+                want[tuple(power * (i == c) for i in range(M))] = mean
+        got = {e: oscillator.moment_oracle(cfg, oscillator.monomial(e)).value for e in want}
+        got["theta2"] = oscillator.moment_oracle(cfg, theta2).value
+        want["theta2"] = oscillator.moment(cfg, "theta2")
+        worst = _worst(*(abs(got[k] - want[k]) for k in want))
+        quad[D] = {"theta2": got["theta2"], "theta_ij_theta_kl": got[first2]}
         yield f"moments-vs-quadrature-D{D}", "oscillator-moments", worst, quad_tol
 
-        mc = oscillator.moment_oracle(
-            cfg, oscillator.monomial((2,) + (0,) * (M - 1)),
-            "monte-carlo", samples=p["samples"], seed=p["seed"],
-        )
+        mc = oscillator.moment_oracle(cfg, oscillator.monomial(first2), "monte-carlo",
+                                      samples=p["samples"], seed=p["seed"])
         dev = abs(mc.value - oscillator.moment(cfg, "theta_ij_theta_kl"))
         yield (f"moments-vs-monte-carlo-D{D}", "oscillator-moments",
                dev, 3.0 * mc.error)
@@ -517,17 +513,10 @@ def oscillator_suite(p: dict):
 
     # moment table records: the evaluated values ride in the record names
     for D, cfg in cfgs.items():
-        for label, which in (("theta2", "theta2"),
-                             ("pair-moment", "theta_ij_theta_kl")):
+        for label, which in (("theta2", "theta2"), ("pair-moment", "theta_ij_theta_kl")):
             value = oscillator.moment(cfg, which)
-            oracle = oscillator.moment_oracle(
-                cfg,
-                (lambda th: (th * th).sum(axis=-1))
-                if which == "theta2"
-                else oscillator.monomial((2,) + (0,) * (cfg.n_modes - 1)),
-            )
             yield (f"moment-{label}-D{D} = {value:g}", "oscillator-moments",
-                   abs(value - oracle.value), quad_tol)
+                   abs(value - quad[D][which]), quad_tol)
 
     # ground state of the X oscillator: <X^2> = D/(2 m omega), <p^2> = D m omega/2
     mw = p["m"] * p["omega"]

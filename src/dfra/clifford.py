@@ -269,11 +269,11 @@ def intertwining_residual(gs: GammaSet, omega: np.ndarray) -> float:
     S = spinor_boost(gs, omega)
     S_inv = np.linalg.inv(S)
     L = vector_matrix(omega)
-    worst = 0.0
+    residuals = []
     for mu in range(4):
         rhs = sum(L[mu, nu] * gs.vector(nu) for nu in range(4))
-        worst = max(worst, float(np.abs(S_inv @ gs.vector(mu) @ S - rhs).max()))
-    return worst
+        residuals.append(np.abs(S_inv @ gs.vector(mu) @ S - rhs).max())
+    return float(np.max(residuals))
 
 
 # ---------------------------------------------------------------------------

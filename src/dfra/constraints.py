@@ -195,14 +195,6 @@ class ConstraintMatrix:
                     aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
         return [row[n:] for row in aug]
 
-    def dump(self) -> str:
-        lines = []
-        for la, row in zip(self.labels, self.entries):
-            for lb, e in zip(self.labels, row):
-                if not e.is_zero():
-                    lines.append(f"{{{la}, {lb}}} = {format_expression(e)}")
-        return "\n".join(lines) + "\n"
-
 
 def constraint_matrix(ps: PhaseSpace, cs: ConstraintSet) -> ConstraintMatrix:
     """Delta^{ab} = {Xi^a, Xi^b}."""

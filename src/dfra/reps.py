@@ -13,8 +13,10 @@ Matrices are built from whatever the entries of the input are: exact input
 (object arrays of ints and Fractions) stays exact, float input goes through
 numpy doubles.  Exact matrices are computed over a common integer
 denominator (`Scaled`: an integer matrix and one positive int, compared
-cross-multiplied) and returned as Fraction object arrays; `scaled_reps` and
-`scaled_generator` hand out the integer forms themselves for closure proofs.
+cross-multiplied) and returned as Fraction object arrays.  Elements hold
+their parts only in that form (`scaled`), so group operations never leave
+integers; `lam`, `a`, `b` and `omega` read them out as arrays, and
+`scaled_reps` and `scaled_generator` hand out the forms for closure proofs.
 The antisymmetric basis fixes pair order
 (0,1),(0,2),(0,3),(1,2),(1,3),(2,3); d2 rows/columns are the plain
 antisymmetrized product Lambda^mu_a Lambda^nu_b - Lambda^mu_b Lambda^nu_a
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -65,8 +67,12 @@ class Scaled:
 
         exact defaults to whether m is an object array.  Exact entries are
         read with Fraction() (ints, Fractions and floats alike), the others
-        as floats.
+        as floats.  A Scaled form of the asked kind passes through.
         """
+        if isinstance(m, Scaled):
+            if exact in (None, m.exact):
+                return m
+            m = m.array()
         m = np.asarray(m)
         if exact is None:
             exact = m.dtype == object
@@ -149,7 +155,7 @@ def mat_to_vec(b: np.ndarray) -> np.ndarray:
 def vec_to_mat(v) -> np.ndarray:
     """6-vector back to an antisymmetric 4x4; an exact (object) one has Fraction(0) zeros."""
     v = np.asarray(v)
-    out = _zeros((4, 4), v.dtype)
+    out = np.full((4, 4), Fraction(0) if v.dtype == object else 0, v.dtype)
     out[_MU, _NU] = v
     out[_NU, _MU] = -v
     return out
@@ -177,21 +183,6 @@ def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
     return m
 
 
-def _scaled_fields(element, names: tuple[str, ...]) -> tuple[Scaled, ...]:
-    """Store the named fields as arrays and as Scaled forms in `scaled`.
-
-    The element is exact when its first field is an object array; the other
-    fields are then read exactly too.
-    """
-    parts = [np.asarray(getattr(element, name)) for name in names]
-    for name, part in zip(names, parts):
-        object.__setattr__(element, name, part)
-    exact = parts[0].dtype == object
-    scaled = tuple(Scaled.of(part, exact) for part in parts)
-    object.__setattr__(element, "scaled", scaled)
-    return scaled
-
-
 def _check_lorentz(lam: Scaled) -> None:
     if lam.num.shape != (4, 4):
         raise ValueError("lambda must be 4x4")
@@ -206,25 +197,46 @@ def _check_lorentz(lam: Scaled) -> None:
         raise ValueError("lambda does not preserve the metric")
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """(Lambda, A, B): Lorentz matrix, x-translation, theta-translation.
-
-    `scaled` holds (Lambda, A, B) as Scaled forms, the ones every operation
-    on the element computes with.
+class _Element:
+    """Three parts held only as Scaled forms in `scaled`, all exact when the
+    first one is; the parts read out as Fraction object arrays (exact) or
+    float arrays.  Immutable.
     """
 
-    lam: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    scaled: tuple[Scaled, Scaled, Scaled] = field(init=False, repr=False, compare=False)
+    __slots__ = ("scaled",)
 
-    def __post_init__(self):
-        lam, a, b = _scaled_fields(self, ("lam", "a", "b"))
-        _check_lorentz(lam)
+    def _store(self, first, a, b) -> Scaled:
+        """Read and check a and b, store all three parts; the first one back."""
+        first = Scaled.of(first)
+        a, b = Scaled.of(a, first.exact), Scaled.of(b, first.exact)
         if a.num.shape != (4,):
             raise ValueError("a must be a 4-vector")
         antisymmetric(b.num, "b")
+        object.__setattr__(self, "scaled", (first, a, b))
+        return first
+
+    def __setattr__(self, *a):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # the default slot restore would go through the guard above
+        return type(self), self.scaled
+
+    a = property(lambda self: self.scaled[1].array(), doc="x-translation")
+    b = property(lambda self: self.scaled[2].array(), doc="theta-translation")
+
+
+class GroupElement(_Element):
+    """(Lambda, A, B): Lorentz matrix, x-translation, theta-translation."""
+
+    __slots__ = ()
+
+    def __init__(self, lam, a, b):
+        _check_lorentz(self._store(lam, a, b))
+
+    lam = property(lambda self: self.scaled[0].array(), doc="Lorentz matrix")
 
     @staticmethod
     def identity() -> "GroupElement":
@@ -232,15 +244,13 @@ class GroupElement:
 
     @staticmethod
     def pure_lorentz(lam) -> "GroupElement":
-        lam = np.asarray(lam)
-        return GroupElement(lam, _zeros(4, lam.dtype), _zeros((4, 4), lam.dtype))
+        return GroupElement(lam, np.zeros(4), np.zeros((4, 4)))
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group law: (L1 L2, L1 A2 + A1, D2(L1) B2 + B1)."""
     (l1, a1, b1), (l2, a2, b2) = g1.scaled, g2.scaled
-    parts = (l1 @ l2, l1 @ a2 + a1, l1 @ b2 @ l1.T + b1)
-    return GroupElement(*(s.array() for s in parts))
+    return GroupElement(l1 @ l2, l1 @ a2 + a1, l1 @ b2 @ l1.T + b1)
 
 
 _MM, _NN, _MN, _NM = (np.ix_(r, c) for r, c in ((_MU, _MU), (_NU, _NU), (_MU, _NU), (_NU, _MU)))
@@ -314,38 +324,25 @@ def scaled_reps(g: GroupElement) -> tuple[Scaled, ...]:
     return (g.scaled[0], _d2(g), _d3(g), _d4(g), _d5(g))
 
 
-def _zeros(shape, dtype) -> np.ndarray:
-    """Zero array of dtype; an exact (object) one holds Fraction(0)."""
-    if dtype != object:
-        return np.zeros(shape, dtype)
-    out = np.empty(shape, dtype=object)
-    out.fill(Fraction(0))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # infinitesimal elements
 
 
-@dataclass(frozen=True)
-class InfinitesimalElement:
+class InfinitesimalElement(_Element):
     """(omega, a, b) with omega in the mixed-index convention omega^mu_nu.
 
     omega^{mu nu} = omega^mu_rho eta^{rho nu} must be antisymmetric.
-    `scaled` holds (omega, a, b) as Scaled forms.
     """
 
-    omega: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    scaled: tuple[Scaled, Scaled, Scaled] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        omega, a, b = _scaled_fields(self, ("omega", "a", "b"))
-        if omega.num.shape != (4, 4) or a.num.shape != (4,):
-            raise ValueError("omega must be 4x4 and a a 4-vector")
+    def __init__(self, omega, a, b):
+        omega = self._store(omega, a, b)
+        if omega.num.shape != (4, 4):
+            raise ValueError("omega must be 4x4")
         antisymmetric((omega @ _eta(omega)).num, "omega^{mu nu}")
-        antisymmetric(b.num, "b")
+
+    omega = property(lambda self: self.scaled[0].array(), doc="omega^mu_nu")
 
     @staticmethod
     def zero() -> "InfinitesimalElement":
@@ -357,7 +354,7 @@ class InfinitesimalElement:
         omega_upper = Scaled.of(omega_upper)
         a = np.zeros(4) if a is None else a
         b = np.zeros((4, 4)) if b is None else b
-        return InfinitesimalElement((omega_upper @ _eta(omega_upper)).array(), a, b)
+        return InfinitesimalElement(omega_upper @ _eta(omega_upper), a, b)
 
 
 def compose_infinitesimal(
@@ -371,8 +368,7 @@ def compose_infinitesimal(
     """
     (w1, a1, b1), (w2, a2, b2) = e1.scaled, e2.scaled
     raw = w1 @ b2 - w2 @ b1
-    parts = (w1 @ w2 - w2 @ w1, w1 @ a2 - w2 @ a1, raw - raw.T)
-    return InfinitesimalElement(*(s.array() for s in parts))
+    return InfinitesimalElement(w1 @ w2 - w2 @ w1, w1 @ a2 - w2 @ a1, raw - raw.T)
 
 
 def _d2_first_order(omega: Scaled) -> Scaled:
@@ -464,7 +460,7 @@ def random_exact_element(rng) -> GroupElement:
         lam = lam @ Scaled.of(factor)
     a = np.array([Fraction(rng.randint(-6, 6), 3) for _ in range(4)], dtype=object)
     b = np.array([Fraction(rng.randint(-6, 6), 2) for _ in PAIRS], dtype=object)
-    return GroupElement(lam.array(), a, vec_to_mat(b))
+    return GroupElement(lam, a, vec_to_mat(b))
 
 
 # [13/13] Pade approximant of exp: numerator coefficients b_0..b_13; the

@@ -95,6 +95,32 @@ def test_x2_spread_uses_the_run_parameters(monkeypatch):
     assert record["status"] == "pass"
 
 
+@pytest.mark.parametrize("relativistic", [False, True], ids=["D3", "relativistic"])
+def test_constraint_matrix_record_fails_on_a_diagonal_block_entry(monkeypatch, relativistic):
+    # {Psi^0, Psi^1} = 1 (the first two indices of each space) lies in the Psi-Psi
+    # block, which must vanish, so a check of the off-diagonal blocks alone misses it
+    from dfra import constraints
+
+    name = "constraint-matrix-relativistic" if relativistic else "constraint-matrix-D3"
+    original = constraints.constraint_matrix
+
+    def patched(ps, cs):
+        m = original(ps, cs)
+        if ps.relativistic != relativistic:
+            return m
+        rows = [list(row) for row in m.entries]
+        rows[0][1] = symcore.Expression.scalar(1)
+        return constraints.ConstraintMatrix(tuple(map(tuple, rows)), m.labels)
+
+    def record():
+        report = run_suite("constraints", parse_params([]))
+        return next(c for c in report["checks"] if c["name"] == name)
+
+    assert record()["status"] == "pass" and record()["residual"] == 0
+    monkeypatch.setattr(constraints, "constraint_matrix", patched)
+    assert record()["status"] == "fail"
+
+
 @pytest.mark.parametrize("wrong", [
     lambda cfg, X2, p2: X2 + (2.0 / cfg.D) * oscillator.moment(cfg, "theta2") * p2,
     lambda cfg, X2, p2: X2,

@@ -113,6 +113,10 @@ def test_residuals_keep_a_nan():
     assert np.isnan(lorentz_closure_residual(sg_nan))
     assert np.isnan(vector_covariance_residual(GS, sg_nan))
     assert np.isnan(pair_covariance_residual(GS, sg_nan))
+    # Gamma^0 is the first of the four vector residuals; a (1,2) rotation's S stays finite
+    gamma = GS.gamma.copy()
+    gamma[0, 0, 0] = np.nan
+    assert np.isnan(intertwining_residual(GammaSet(gamma, GS.eta), vec_to_mat([0, 0, 0, 0.7, 0, 0])))
 
 
 def test_gamma0_m01_commutator_is_delta_selected_gamma():

@@ -8,9 +8,11 @@ import pytest
 
 from dfra import algebra
 from dfra.constraints import (
+    ConstraintMatrix,
     ConstraintSet,
     DiracBracket,
     FieldDependentMatrixError,
+    NotSecondClassError,
     build_phase_space,
     classical_j_closure_residual,
     classical_rotate,
@@ -163,6 +165,55 @@ def test_poisson_bracket_laws(seed):
         + bracket(bracket(C, A, t), B, t)
     )
     assert normal_form(jac, t).is_zero()
+
+
+_gauss = st.builds(GaussRat, st.fractions(-3, 3, max_denominator=4),
+                   st.fractions(-3, 3, max_denominator=4))
+_nonzero = _gauss.filter(bool)
+
+
+def _matmul(x, y):
+    return [[sum((x[i][k] * y[k][j] for k in range(len(y))), GaussRat(0))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+@st.composite
+def _invertible(draw):
+    # P L U: L unit lower triangular with L[1][0] != 0 and U upper triangular with a
+    # nonzero diagonal, so column 0 holds two nonzeros and a row must be eliminated
+    n = draw(st.integers(2, 5))
+    low = [[GaussRat(int(i == j)) if j >= i else draw(_gauss) for j in range(n)] for i in range(n)]
+    low[1][0] = draw(_nonzero)
+    up = [[draw(_nonzero) if i == j else draw(_gauss) if j > i else GaussRat(0)
+           for j in range(n)] for i in range(n)]
+    lu = _matmul(low, up)
+    return [lu[r] for r in draw(st.permutations(range(n)))]
+
+
+def _scalar_constraint_matrix(m):
+    entries = tuple(tuple(Expression.scalar(v) for v in row) for row in m)
+    return ConstraintMatrix(entries, tuple(f"Xi[{k}]" for k in range(len(m))))
+
+
+@given(m=_invertible())
+@settings(max_examples=60, deadline=None)
+def test_inverse_by_elimination_is_exact(m):
+    inv = _scalar_constraint_matrix(m).inverse()
+    eye = [[GaussRat(int(i == j)) for j in range(len(m))] for i in range(len(m))]
+    assert _matmul(m, inv) == eye
+    assert _matmul(inv, m) == eye
+
+
+@given(m=_invertible(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_inverse_of_a_singular_matrix_raises(m, data):
+    # one row replaced by a combination of the others
+    k = data.draw(st.integers(0, len(m) - 1))
+    c = [data.draw(_gauss) for _ in m]
+    m[k] = [sum((c[i] * row[j] for i, row in enumerate(m) if i != k), GaussRat(0))
+            for j in range(len(m))]
+    with pytest.raises(NotSecondClassError):
+        _scalar_constraint_matrix(m).inverse()
 
 
 def test_constraints_have_zero_dirac_bracket_with_anything():

@@ -18,6 +18,7 @@ from dfra.reps import (
     GroupElement,
     InfinitesimalElement,
     SampledField,
+    Scaled,
     StencilError,
     casimirs,
     compose,
@@ -40,6 +41,8 @@ from dfra.reps import (
     random_exact_element,
     random_float_lorentz,
     scalar_field_transform,
+    scaled_generator,
+    scaled_reps,
     vec_to_mat,
 )
 
@@ -279,6 +282,55 @@ def test_commutator_on_random_11_vector():
     g1, g2 = generator_matrix(e1), generator_matrix(e2)
     assert _exact_equal(g1.dot(g2.dot(y)) - g2.dot(g1.dot(y)),
                         generator_matrix(e3).dot(y))
+
+
+# -- elements hold only their integer forms ---------------------------------------
+
+
+def test_group_operations_never_read_out_fraction_arrays(monkeypatch):
+    rng = random.Random(17)
+    gs = [random_exact_element(rng) for _ in range(3)]
+    es = [_random_infinitesimal(rng) for _ in range(3)]
+
+    def refuse(self):
+        raise AssertionError("Scaled.array called")
+
+    monkeypatch.setattr(Scaled, "array", refuse)
+    g12, g23 = compose(gs[0], gs[1]), compose(gs[1], gs[2])
+    for m1, m2, m3, m12, m23 in zip(*map(scaled_reps, (*gs, g12, g23))):
+        assert (m1 @ m2).equals(m12) and (m2 @ m3).equals(m23)
+        assert not (m1 @ m2).equals(m23)
+    e3 = compose_infinitesimal(es[0], es[1])
+    s1, s2, s3 = map(scaled_generator, (es[0], es[1], e3))
+    assert (s1 @ s2 - s2 @ s1).equals(s3)
+    assert not (s1 @ s2).equals(s3)
+
+
+def test_elements_are_immutable():
+    rng = random.Random(3)
+    g, e = random_exact_element(rng), _random_infinitesimal(rng)
+    for obj, names in ((g, ("lam", "a", "b", "scaled")), (e, ("omega", "a", "b", "scaled"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+    # an exact part reads out as a fresh Fraction array: writing to it changes nothing
+    lam = g.lam
+    lam[0, 0] += 1
+    assert g.lam[0, 0] == lam[0, 0] - 1
+
+
+def test_elements_survive_a_pickle_round_trip():
+    import pickle
+
+    rng = random.Random(8)
+    for x in (random_exact_element(rng), _random_infinitesimal(rng),
+              GroupElement(random_float_lorentz(np.random.default_rng(8)), np.ones(4),
+                           vec_to_mat(np.arange(6.0)))):
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is type(x)
+        assert all(p.equals(q) for p, q in zip(x.scaled, y.scaled))
 
 
 # -- matrix exponential --------------------------------------------------------
