@@ -197,6 +197,12 @@ def _check_lorentz(lam: Scaled) -> None:
         raise ValueError("lambda does not preserve the metric")
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    out = np.array(x, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 class _Element:
     """Three parts held only as Scaled forms in `scaled`, all exact when the
     first one is; the parts read out as Fraction object arrays (exact) or
@@ -206,9 +212,16 @@ class _Element:
     __slots__ = ("scaled",)
 
     def _store(self, first, a, b) -> Scaled:
-        """Read and check a and b, store all three parts; the first one back."""
+        """Read and check a and b, store all three parts; the first one back.
+
+        Float parts are kept as private read-only copies: a float array
+        passes through Scaled.of, so writing to the caller's array (or to a
+        read-out, which is the stored array) would change a checked element.
+        """
         first = Scaled.of(first)
         a, b = Scaled.of(a, first.exact), Scaled.of(b, first.exact)
+        if not first.exact:
+            first, a, b = (Scaled(_read_only(s.num)) for s in (first, a, b))
         if a.num.shape != (4,):
             raise ValueError("a must be a 4-vector")
         antisymmetric(b.num, "b")

@@ -18,16 +18,30 @@ derivation in each argument, and the normal form of an element is unique
 sum of these terms gives exactly the expression normal_form(ab - ba)
 gives, and it rewrites far fewer words.
 
+Words are tuples of small ints, one code per interned Generator, so dict
+and set operations on them hash and compare in C (rewriting engines key
+monomials the same way; Mora, Theor. Comput. Sci. 134, 1994).  A bracket
+table indexes its bracket rows by code and keeps a rank list beside the
+codes that orders its universe like `Generator.sort_key`; codes number
+generators in the order they are first built, ranks do not.  The public
+`bracket` and `normal_form` check their arguments against the table's
+universe once per call, as a subset test of the code set each expression
+caches; the rewrite itself reads the rows unchecked.  Codes map back to
+Generators only in `format_expression`, `Expression.generators`,
+`Expression.terms` and pickling.
+
 Units are hbar = c = 1 throughout the toolkit.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 
 class SymError(Exception):
@@ -101,9 +115,10 @@ class GaussRat:
         return None
 
     def __add__(self, other):
-        other = GaussRat._cast(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            other = GaussRat._cast(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self._d, other._d
         if d1 == d2:
             return _reduced(self._a + other._a, self._b + other._b, d1)
@@ -112,9 +127,10 @@ class GaussRat:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussRat._cast(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            other = GaussRat._cast(other)
+            if other is None:
+                return NotImplemented
         d1, d2 = self._d, other._d
         if d1 == d2:
             return _reduced(self._a - other._a, self._b - other._b, d1)
@@ -127,18 +143,32 @@ class GaussRat:
         return other - self
 
     def __mul__(self, other):
-        other = GaussRat._cast(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            other = GaussRat._cast(other)
+            if other is None:
+                return NotImplemented
+        # _reduced and _triple written out: products are the hot path of bracket
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a //= g
+                b //= g
+                d //= g
+        out = object.__new__(GaussRat)
+        out._a = a
+        out._b = b
+        out._d = d
+        return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussRat._cast(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            other = GaussRat._cast(other)
+            if other is None:
+                return NotImplemented
         # multiply by the conjugate of other over its norm
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
         norm = a2 * a2 + b2 * b2
@@ -157,9 +187,10 @@ class GaussRat:
         return _triple(-self._a, -self._b, self._d)
 
     def __eq__(self, other):
-        other = GaussRat._cast(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussRat:
+            other = GaussRat._cast(other)
+            if other is None:
+                return NotImplemented
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
@@ -221,12 +252,13 @@ class Generator:
     sign lives in the coefficient of the surrounding expression.
 
     Generators are interned: equal (name, indices) give the same object, so
-    equality is identity.  The sort key and the hash are computed once, when
-    the generator is first built, since every dict and set operation on a
-    word hashes each of its generators.
+    equality and hashing are by identity.  Each carries a `code`, a small
+    int numbering generators in the order they are first built; expressions
+    store words as tuples of codes.  Codes do not order like `sort_key`:
+    each bracket table keeps a rank list beside them that does.
     """
 
-    __slots__ = ("name", "indices", "sort_key", "_hash")
+    __slots__ = ("name", "indices", "sort_key", "code")
 
     def __new__(cls, name: str, indices: tuple[int, ...] = ()):
         key = (name, indices)
@@ -236,8 +268,9 @@ class Generator:
             object.__setattr__(g, "name", name)
             object.__setattr__(g, "indices", indices)
             object.__setattr__(g, "sort_key", (_NAME_RANK.get(name, 99), name, indices))
-            object.__setattr__(g, "_hash", hash(key))
-            g = _INTERNED.setdefault(key, g)
+            object.__setattr__(g, "code", len(_BY_CODE))
+            _BY_CODE.append(g)
+            _INTERNED[key] = g
         return g
 
     def __setattr__(self, *a):  # immutability guard
@@ -245,12 +278,10 @@ class Generator:
 
     __delattr__ = __setattr__
 
-    # __eq__ stays object identity
-    def __hash__(self):
-        return self._hash
+    # __eq__ and __hash__ stay object identity
 
     def __reduce__(self):
-        # str hashes differ between processes: rebuild (and intern), never carry _hash
+        # codes differ between processes: rebuild (and intern) from the value
         return Generator, (self.name, self.indices)
 
     def __lt__(self, other: "Generator"):
@@ -267,19 +298,40 @@ class Generator:
 
 # (name, indices) -> the one Generator with that value
 _INTERNED: dict[tuple[str, tuple[int, ...]], Generator] = {}
+# code -> Generator
+_BY_CODE: list[Generator] = []
 
 _SORT_KEY = attrgetter("sort_key")
+_NONE: frozenset[int] = frozenset()
 
 Word = tuple[Generator, ...]
+Codes = tuple[int, ...]  # a word as generator codes
 
 
-def _add_term(terms: dict, word: Word, coeff: GaussRat) -> None:
+def _encode(word: Iterable[Generator]) -> Codes:
+    codes = []
+    for g in word:
+        if type(g) is not Generator:
+            raise TypeError(f"a word holds generators, not {type(g).__name__}")
+        codes.append(g.code)
+    return tuple(codes)
+
+
+def _decode(codes: Codes) -> Word:
+    return tuple(map(_BY_CODE.__getitem__, codes))
+
+
+def _add_term(terms: dict, word: Codes, coeff: GaussRat) -> None:
     """terms[word] += coeff, dropping the word when the sum is zero."""
-    acc = terms.get(word, ZERO) + coeff
+    old = terms.get(word)
+    if old is None:
+        terms[word] = coeff
+        return
+    acc = old + coeff
     if acc:
         terms[word] = acc
     else:
-        terms.pop(word, None)
+        del terms[word]
 
 
 # ---------------------------------------------------------------------------
@@ -289,47 +341,64 @@ def _add_term(terms: dict, word: Word, coeff: GaussRat) -> None:
 class Expression:
     """Finite linear combination of generator words with exact coefficients.
 
-    Instances are immutable; arithmetic returns fresh expressions.  The empty
-    word is the scalar unit, and an empty term map is the zero expression.
+    Instances are immutable (`terms` is a read-only view, and no method
+    changes the private term dict); arithmetic returns fresh expressions.
+    The empty word is the scalar unit, and an empty term map is the zero
+    expression.
+
+    Words are held as tuples of generator codes, coefficients as nonzero
+    GaussRats; `terms` reads them out with Generator words.  The set of
+    codes an expression mentions is built on first use and kept, so a
+    table's universe check is one frozenset subset test.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms", "_codes")
 
     def __init__(self, terms: Mapping[Word, Scalar] | None = None):
-        clean: dict[Word, GaussRat] = {}
+        clean: dict[Codes, GaussRat] = {}
         if terms:
             for word, coeff in terms.items():
                 coeff = GaussRat.coerce(coeff)
                 if coeff:
-                    clean[tuple(word)] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("Expression is immutable")
+                    clean[_encode(word)] = coeff
+        self._terms = clean
+        self._codes = None
 
     def __reduce__(self):
-        # the default slot restore would go through the guard above
-        return Expression, (self.terms,)
+        # codes are process-local: pickle the Generator words
+        return Expression, (dict(self.terms),)
+
+    @property
+    def terms(self) -> Mapping[Word, GaussRat]:
+        """The terms as a read-only mapping from Generator words."""
+        return _Terms(self._terms)
+
+    def _code_set(self) -> frozenset[int]:
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = frozenset(chain.from_iterable(self._terms))
+        return codes
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "Expression":
-        return Expression()
+        return _expr({})
 
     @staticmethod
     def scalar(value: Scalar) -> "Expression":
-        return Expression({(): GaussRat.coerce(value)})
+        c = GaussRat.coerce(value)
+        return _expr({(): c} if c else {})
 
     @staticmethod
     def generator(gen: Generator) -> "Expression":
-        return Expression({(gen,): ONE})
+        return _expr({_encode((gen,)): ONE})
 
     @staticmethod
     def pair(name: str, mu: int, nu: int) -> "Expression":
         """name[mu, nu], stored as mu < nu with the sign in the coefficient; 0 if mu == nu."""
         if mu == nu:
-            return Expression()
+            return _expr({})
         if mu > nu:
             return -Expression.generator(Generator(name, (nu, mu)))
         return Expression.generator(Generator(name, (mu, nu)))
@@ -337,19 +406,19 @@ class Expression:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_scalar(self) -> bool:
-        return all(not w for w in self.terms)
+        return all(not w for w in self._terms)
 
     def scalar_part(self) -> GaussRat:
-        return self.terms.get((), ZERO)
+        return self._terms.get((), ZERO)
 
     def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(len, self._terms), default=0)
 
     def generators(self) -> set[Generator]:
-        return {g for word in self.terms for g in word}
+        return {_BY_CODE[c] for c in self._code_set()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -357,10 +426,10 @@ class Expression:
         other = _as_expression(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
+        terms = dict(self._terms)
+        for word, coeff in other._terms.items():
             _add_term(terms, word, coeff)
-        return Expression(terms)
+        return _expr(terms)
 
     __radd__ = __add__
 
@@ -374,18 +443,19 @@ class Expression:
         return _as_expression(other) - self
 
     def __neg__(self):
-        return Expression({w: -c for w, c in self.terms.items()})
+        return _expr({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussRat)):
             c = GaussRat.coerce(other)
-            return Expression({w: cc * c for w, cc in self.terms.items()})
+            # a product of nonzero Gaussian rationals is nonzero
+            return _expr({w: cc * c for w, cc in self._terms.items()} if c else {})
         if isinstance(other, Expression):
-            terms: dict[Word, GaussRat] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
+            terms: dict[Codes, GaussRat] = {}
+            for w1, c1 in self._terms.items():
+                for w2, c2 in other._terms.items():
                     _add_term(terms, w1 + w2, c1 * c2)
-            return Expression(terms)
+            return _expr(terms)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -397,19 +467,59 @@ class Expression:
         other = _as_expression(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self):
         # a scalar expression hashes like the coefficient it equals
         if self.is_scalar():
             return hash(self.scalar_part())
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r})"
 
     def __str__(self):
         return format_expression(self)
+
+
+def _expr(terms: dict[Codes, GaussRat], codes: frozenset[int] | None = None) -> Expression:
+    """An Expression owning `terms` (code words, nonzero GaussRat values).
+
+    No expression changes its term dict once built, so expressions may share
+    one, and with it the code set `codes`.
+    """
+    e = object.__new__(Expression)
+    e._terms = terms
+    e._codes = codes
+    return e
+
+
+# the zero expression bracket hands to normal_form when no letters meet
+_ZERO = _expr({}, _NONE)
+
+
+class _Terms(Mapping):
+    """Read-only view of code-word terms, keyed by Generator words."""
+
+    __slots__ = ("_coded",)
+
+    def __init__(self, coded: dict[Codes, GaussRat]):
+        self._coded = coded
+
+    def __len__(self):
+        return len(self._coded)
+
+    def __iter__(self):
+        return map(_decode, self._coded)
+
+    def __getitem__(self, word):
+        try:
+            return self._coded[_encode(word)]
+        except TypeError:
+            raise KeyError(word) from None
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 def _as_expression(value) -> "Expression":
@@ -432,11 +542,13 @@ class BracketTable:
     scalar-or-linear expression, which is what guarantees termination of the
     normal-ordering rewrite.
 
-    The universe is checked where an expression enters (`check_expression`,
-    `entry`, and each entry's right-hand side here); the rewrite and the
-    bracket read `_signed`, one row per generator of the universe:
-    `_signed[a][b]` holds the terms of [a, b] for both orders of every
-    nonzero pair, without re-checking.
+    The universe is checked where an expression enters: `check_expression`
+    (called by the public `bracket` and `normal_form`), `entry`, and each
+    entry's right-hand side here.  The rewrite and the bracket then read two
+    lists indexed by generator code, without re-checking: `_rank[c]` orders
+    the universe like `sort_key`, and `_rows[a][b]` holds the terms of
+    [a, b] for both orders of every nonzero pair (`_rows[a]` is None for a
+    generator that brackets nothing).
     """
 
     def __init__(
@@ -451,6 +563,7 @@ class BracketTable:
         self.dimension = dimension
         self.mode = mode
         self.universe = frozenset(universe)
+        self._codes = frozenset(_encode(self.universe))
         self.entries: dict[tuple[Generator, Generator], Expression] = {}
         for (a, b), expr in entries.items():
             if a not in self.universe or b not in self.universe:
@@ -465,23 +578,32 @@ class BracketTable:
             if a == b:
                 raise ValueError(f"nonzero bracket [{a}, {a}] is inconsistent")
             self.entries[(a, b)] = expr
-        self._signed: dict[Generator, dict[Generator, tuple]] = {g: {} for g in self.universe}
+        size = max(self._codes, default=-1) + 1
+        self._rank: list = [None] * size
+        for r, g in enumerate(sorted(self.universe, key=_SORT_KEY)):
+            self._rank[g.code] = r
+        self._rows: list = [None] * size
         for (a, b), expr in self.entries.items():
-            self._signed[a][b] = tuple(expr.terms.items())
-            self._signed[b][a] = tuple((w, -c) for w, c in expr.terms.items())
+            for g, h, e in ((a, b, expr), (b, a, -expr)):
+                if self._rows[g.code] is None:
+                    self._rows[g.code] = [None] * size
+                self._rows[g.code][h.code] = tuple(e._terms.items())
+        self._partners = [_NONE if row is None else frozenset(c for c, t in enumerate(row) if t)
+                          for row in self._rows]
 
     def entry(self, a: Generator, b: Generator) -> Expression:
         """[a, b] for generators, with antisymmetry applied on lookup."""
         for g in (a, b):
             if g not in self.universe:
                 raise UnknownGeneratorError(f"generator {g} not in table universe")
-        return Expression(dict(self._signed[a].get(b, ())))
+        row = self._rows[a.code]
+        return _expr(dict(row[b.code] or ()) if row else {})
 
     def check_expression(self, e: Expression) -> None:
-        for word in e.terms:
-            for g in word:
-                if g not in self.universe:
-                    raise UnknownGeneratorError(f"generator {g} not in table universe")
+        codes = e._code_set()
+        if not codes <= self._codes:
+            bad = min((_BY_CODE[c] for c in codes - self._codes), key=_SORT_KEY)
+            raise UnknownGeneratorError(f"generator {bad} not in table universe")
 
     def dump(self) -> str:
         """Text table `[<gen>, <gen>] = <expression>` of all nonzero entries."""
@@ -502,34 +624,55 @@ _MAX_REWRITE_FACTOR = 10_000
 
 def normal_form(e: Expression, table: BracketTable) -> Expression:
     """Unique canonical representative of e modulo the table's relations."""
-    table.check_expression(e)
+    terms = e._terms
+    if not terms:
+        return _expr(terms, _NONE)  # zero mentions no generator, so fits every table
+    codes = e._codes or e._code_set()
+    if not codes <= table._codes:
+        table.check_expression(e)
+    by_rank = table._rank.__getitem__
+    # the words out of order; the rest are normal already
+    unsorted = []
+    for word in terms:
+        if len(word) > 1:
+            ranks = list(map(by_rank, word))
+            if ranks != sorted(ranks):
+                unsorted.append(word)
+    if not unsorted:
+        return _expr(terms, codes)
+    result = dict(terms)
+    pending = [(word, result.pop(word)) for word in unsorted]
     if table.mode == "poisson":
-        terms: dict[Word, GaussRat] = {}
-        for word, coeff in e.terms.items():
-            _add_term(terms, tuple(sorted(word, key=_SORT_KEY)), coeff)
-        return Expression(terms)
+        for word, coeff in pending:
+            _add_term(result, tuple(sorted(word, key=by_rank)), coeff)
+        return _expr(result)
 
-    signed = table._signed
-    result: dict[Word, GaussRat] = {}
-    pending: list[tuple[Word, GaussRat]] = list(e.terms.items())
-    budget = _MAX_REWRITE_FACTOR * (1 + len(e.terms)) * (1 + e.degree()) ** 2
+    rank, rows = table._rank, table._rows
+    budget = _MAX_REWRITE_FACTOR * (1 + len(terms)) * (1 + e.degree()) ** 2
     steps = 0
     while pending:
         steps += 1
         if steps > budget:
             raise NormalizationError("rewrite did not terminate; inconsistent table")
         word, coeff = pending.pop()
-        for k in range(len(word) - 1):
-            if word[k + 1].sort_key < word[k].sort_key:
+        # the first k with word[k] ranked below word[k - 1]
+        previous = -1
+        for k, g in enumerate(word):
+            r = rank[g]
+            if r < previous:
                 break
+            previous = r
         else:
             _add_term(result, word, coeff)
             continue
-        a, b = word[k], word[k + 1]
-        pending.append((word[:k] + (b, a) + word[k + 2 :], coeff))
-        for w2, c2 in signed[a].get(b, ()):
-            pending.append((word[:k] + w2 + word[k + 2 :], coeff * c2))
-    return Expression(result)
+        a, b = word[k - 1], word[k]
+        head, tail = word[: k - 1], word[k + 1 :]
+        pending.append((head + (b, a) + tail, coeff))
+        row = rows[a]
+        if row is not None:
+            for w2, c2 in row[b] or ():
+                pending.append((head + w2 + tail, coeff * c2))
+    return _expr(result)
 
 
 def bracket(a: Expression, b: Expression, table: BracketTable) -> Expression:
@@ -538,31 +681,38 @@ def bracket(a: Expression, b: Expression, table: BracketTable) -> Expression:
     Sums the derivation-rule terms of every pair of words (see the module
     docstring) and normal-orders the sum once.
     """
-    table.check_expression(a)
-    table.check_expression(b)
-    signed = table._signed
+    universe = table._codes
+    if not ((a._codes or a._code_set()) <= universe and (b._codes or b._code_set()) <= universe):
+        table.check_expression(a)
+        table.check_expression(b)
+    rows, partners = table._rows, table._partners
     commutator = table.mode == "commutator"
-    terms: dict[Word, GaussRat] = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            c = None
+    terms: dict[Codes, GaussRat] = {}
+    b_terms = b._terms.items()
+    for u, cu in a._terms.items():
+        # the generators some letter of u brackets with
+        reach = partners[u[0]] if len(u) == 1 else _NONE.union(*map(partners.__getitem__, u))
+        if not reach:
+            continue
+        for v, cv in b_terms:
+            if reach.isdisjoint(v):
+                continue
+            c = cu * cv
             for i, ui in enumerate(u):
-                row = signed[ui]
-                if not row:
+                row = rows[ui]
+                if row is None:
                     continue
                 for j, vj in enumerate(v):
-                    entry = row.get(vj)
+                    entry = row[vj]
                     if entry is None:
                         continue
-                    if c is None:
-                        c = cu * cv
                     if commutator:
                         left, right = u[:i] + v[:j], v[j + 1 :] + u[i + 1 :]
                     else:
                         left, right = u[:i] + u[i + 1 :] + v[:j] + v[j + 1 :], ()
                     for w, cw in entry:
                         _add_term(terms, left + w + right, c * cw)
-    return normal_form(Expression(terms), table)
+    return normal_form(_expr(terms) if terms else _ZERO, table)
 
 
 def derivative(e: Expression, g: Generator) -> Expression:
@@ -571,13 +721,14 @@ def derivative(e: Expression, g: Generator) -> Expression:
     A word holding g k times gives k times the word with one g removed, so a
     poisson normal form (sorted words) maps to a poisson normal form.
     """
-    terms: dict[Word, GaussRat] = {}
-    for word, coeff in e.terms.items():
-        k = word.count(g)
+    code = g.code
+    terms: dict[Codes, GaussRat] = {}
+    for word, coeff in e._terms.items():
+        k = word.count(code)
         if k:
-            i = word.index(g)
+            i = word.index(code)
             _add_term(terms, word[:i] + word[i + 1 :], coeff * k)
-    return Expression(terms)
+    return _expr(terms)
 
 
 def jacobi_residual(
@@ -624,10 +775,10 @@ def format_expression(e: Expression) -> str:
     if e.is_zero():
         return "0"
     parts = []
-    words = sorted(e.terms, key=lambda w: (-len(w), tuple(g.sort_key for g in w)))
+    words = sorted(map(_decode, e._terms), key=lambda w: (-len(w), [g.sort_key for g in w]))
     for word in words:
-        sign, mag = _format_coeff(e.terms[word])
-        body = "*".join(str(g) for g in word)
+        sign, mag = _format_coeff(e._terms[_encode(word)])
+        body = "*".join(map(str, word))
         if body and mag:
             text = f"{mag}*{body}"
         elif body:

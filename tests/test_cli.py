@@ -1,11 +1,13 @@
 """CLI contract: exit codes, report schema, determinism, eval round trips."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import dfra
-from dfra import field, oscillator, symcore
+from dfra import cli, field, oscillator, symcore
 from dfra.cli import (
     REFERENCES,
     REPORT_SCHEMA,
@@ -159,6 +161,56 @@ def test_vacuum_shift_record_fails_on_a_wrong_shift(monkeypatch, wrong):
         # the oracle is a numeric diagonalization, so its tolerance is its error estimate
         assert right[name]["status"] == "pass" and right[name]["tolerance"] > 0
         assert record["status"] == "fail", name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("omega", ["1e300", "1e-320"])
+def test_oscillator_parameters_out_of_float_range_exit_two(omega, capsys):
+    # finite and positive, but Omega^2 overflows (1e300) or the DVR
+    # Hamiltonian holds inf * 0 (1e-320)
+    assert main(["run", "--suite", "oscillator", "--set", f"Omega={omega}"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and err.endswith("\n")
+    assert err.splitlines()[-1].startswith("error: the oscillator suite ")
+
+
+def test_monte_carlo_threshold_is_the_sidak_z(monkeypatch):
+    tail = 1 - (1 - cli.MC_FALSE_ALARM_RATE) ** (1 / cli.MC_RECORDS)
+    assert cli.MC_Z == pytest.approx(NormalDist().inv_cdf(1 - tail / 2), rel=1e-12)
+    assert 3.48 < cli.MC_Z < 3.49
+    errors = []
+    real = oscillator.moment_oracle
+
+    def recorded(cfg, f, method="quadrature", **kwargs):
+        out = real(cfg, f, method, **kwargs)
+        if method == "monte-carlo":
+            errors.append(out.error)
+        return out
+
+    monkeypatch.setattr(oscillator, "moment_oracle", recorded)
+    tolerances = [tol for name, _, _, tol in cli.oscillator_suite(parse_params(["samples=1000"]))
+                  if name.startswith("moments-vs-monte-carlo-D")]
+    assert len(tolerances) == cli.MC_RECORDS == len(errors)
+    assert tolerances == [cli.MC_Z * e for e in errors]
+
+
+def test_monte_carlo_records_fail_a_sampler_biased_by_one_percent(monkeypatch):
+    real = oscillator.moment_oracle
+
+    def biased(cfg, f, method="quadrature", **kwargs):
+        if method == "monte-carlo":
+            # the sampler's sigma^2 is 1/(2 Lambda Omega)
+            cfg = dataclasses.replace(cfg, Omega=cfg.Omega / 1.01)
+        return real(cfg, f, method, **kwargs)
+
+    monkeypatch.setattr(oscillator, "moment_oracle", biased)
+    params = parse_params([])
+    assert params["samples"] == 1_000_000
+    records = {name: (residual, tol) for name, _, residual, tol in cli.oscillator_suite(params)}
+    for D in (2, 3):
+        residual, tol = records[f"moments-vs-monte-carlo-D{D}"]
+        assert residual > tol
 
 
 def test_runtime_runs_from_the_previous_record(monkeypatch):

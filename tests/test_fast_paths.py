@@ -2,13 +2,15 @@
 
 The derivation-rule bracket is compared with normal-ordering ab - ba
 (commutator tables) and with the Leibniz recursion (Poisson tables); the
-exact derivative d/dx^mu with the Poisson bracket with p_mu; the per-space
+integer-coded normal form and bracket with the same rules on Generator
+words, ordered by sort_key; the exact derivative d/dx^mu with the Poisson bracket with p_mu; the per-space
 memos of X, l/L/J and M with operators built on a fresh space; the memoized
 Dirac bracket with its unmemoized formula; the integer-triple Gaussian
 rationals with a pair of Fractions.
 """
 
 import operator
+import pickle
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfra import algebra, constraints
-from dfra.symcore import ONE, Expression, GaussRat, Generator, bracket, derivative, normal_form
+from dfra.symcore import (
+    ONE,
+    Expression,
+    GaussRat,
+    Generator,
+    bracket,
+    derivative,
+    format_expression,
+    normal_form,
+)
 
 QUANTUM = {
     "D2": algebra.build(2),
@@ -86,6 +97,100 @@ def _leibniz_bracket(a, b, table):
 def test_poisson_bracket_is_the_leibniz_recursion(case):
     space, a, b = case
     assert bracket(a, b, space.table) == _leibniz_bracket(a, b, space.table)
+
+
+# -- the integer-coded kernel ------------------------------------------------------
+#
+# The reference kernel keeps words as tuples of Generators, reads the table
+# through its public `entries`, and orders letters by sort_key.
+
+
+def _reference_rows(table):
+    """Generator -> Generator -> terms of their bracket, for both orders."""
+    rows = {}
+    for (a, b), expr in table.entries.items():
+        terms = list(expr.terms.items())
+        rows.setdefault(a, {})[b] = terms
+        rows.setdefault(b, {})[a] = [(w, -c) for w, c in terms]
+    return rows
+
+
+def _add(terms, word, coeff):
+    acc = terms.get(word, 0) + coeff
+    if acc:
+        terms[word] = acc
+    else:
+        terms.pop(word, None)
+
+
+def reference_normal_form(e, table):
+    """Sort each word (poisson), or rewrite ab = ba + [a, b] at its first descent."""
+    if table.mode == "poisson":
+        terms = {}
+        for word, coeff in e.terms.items():
+            _add(terms, tuple(sorted(word, key=lambda g: g.sort_key)), coeff)
+        return Expression(terms)
+    rows = _reference_rows(table)
+    result = {}
+    pending = list(e.terms.items())
+    while pending:
+        word, coeff = pending.pop()
+        for k in range(len(word) - 1):
+            if word[k + 1].sort_key < word[k].sort_key:
+                break
+        else:
+            _add(result, word, coeff)
+            continue
+        a, b = word[k], word[k + 1]
+        pending.append((word[:k] + (b, a) + word[k + 2 :], coeff))
+        for w, c in rows.get(a, {}).get(b, ()):
+            pending.append((word[:k] + w + word[k + 2 :], coeff * c))
+    return Expression(result)
+
+
+def reference_bracket(a, b, table):
+    """The derivation rule over every pair of letters, then the normal form."""
+    rows = _reference_rows(table)
+    terms = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            for i, ui in enumerate(u):
+                for j, vj in enumerate(v):
+                    for w, cw in rows.get(ui, {}).get(vj, ()):
+                        if table.mode == "commutator":
+                            word = u[:i] + v[:j] + w + v[j + 1 :] + u[i + 1 :]
+                        else:
+                            word = u[:i] + u[i + 1 :] + v[:j] + v[j + 1 :] + w
+                        _add(terms, word, cu * cv * cw)
+    return reference_normal_form(Expression(terms), table)
+
+
+SPACES = {**{f"quantum-{k}": s for k, s in QUANTUM.items()},
+          **{f"classical-{k}": s for k, s in CLASSICAL.items()}}
+
+
+@given(_space_and_pair(SPACES))
+@settings(max_examples=200, deadline=None)
+def test_int_coded_kernel_equals_the_generator_word_kernel(case):
+    space, a, b = case
+    t = space.table
+    for e in (a, a * b):
+        expect = reference_normal_form(e, t)
+        assert normal_form(e, t) == expect
+        assert format_expression(normal_form(e, t)) == format_expression(expect)
+    expect = reference_bracket(a, b, t)
+    assert bracket(a, b, t) == expect
+    assert dict(bracket(a, b, t).terms) == dict(expect.terms)
+
+
+@given(_space_and_pair(SPACES))
+@settings(max_examples=60, deadline=None)
+def test_expressions_survive_a_pickle_round_trip(case):
+    space, a, b = case
+    for e in (a, bracket(a, b, space.table)):
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy == e and hash(copy) == hash(e)
+        assert dict(copy.terms) == dict(e.terms)
 
 
 # -- derivative -------------------------------------------------------------------

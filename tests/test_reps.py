@@ -321,6 +321,21 @@ def test_elements_are_immutable():
     assert g.lam[0, 0] == lam[0, 0] - 1
 
 
+def test_float_elements_keep_private_read_only_parts():
+    lam, a, b, omega = np.eye(4), np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4))
+    g = GroupElement(lam, a, b)
+    e = InfinitesimalElement(omega, a, b)
+    rep = d1(g)
+    # writing to the arrays the elements were built from changes neither
+    lam[0, 0], a[0], b[0, 1], omega[0, 1] = 5.0, 1.0, 2.0, 3.0
+    # and the read-outs cannot be written to
+    for part in (g.lam, g.a, g.b, e.omega, e.a, e.b):
+        with pytest.raises(ValueError):
+            part[0] = 7.0
+    assert np.array_equal(g.lam, np.eye(4)) and np.array_equal(d1(g), rep)
+    assert not (g.a.any() or g.b.any() or e.omega.any() or e.a.any() or e.b.any())
+
+
 def test_elements_survive_a_pickle_round_trip():
     import pickle
 

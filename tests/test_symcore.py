@@ -1,13 +1,17 @@
 """Engine-level checks: exact arithmetic, normal ordering, bracket laws."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dfra
 from dfra import algebra
 from dfra.symcore import (
     Expression,
@@ -67,16 +71,17 @@ _GENERATORS = st.builds(
 
 
 @given(g=_GENERATORS, h=_GENERATORS)
-def test_generator_hash_is_cached_and_keeps_its_value(g, h):
-    assert hash(g) == g._hash == hash((g.name, g.indices))
-    assert (g == h) == ((g.name, g.indices) == (h.name, h.indices))
-    assert (g == h) <= (hash(g) == hash(h))
+def test_generator_hash_and_order_follow_the_value(g, h):
+    same = (g.name, g.indices) == (h.name, h.indices)
+    assert (g == h) == same and (g is h) == same
+    assert Generator(h.name, h.indices) is h
+    assert same <= (hash(g) == hash(h))
     rank = {"X": 0, "x": 1, "p": 2, "theta": 3, "pi": 4, "Z": 5, "K": 6}
     assert g.sort_key == (rank.get(g.name, 99), g.name, g.indices)
     assert (g < h) == (g.sort_key < h.sort_key)
     assert repr(g) == f"Generator(name={g.name!r}, indices={g.indices!r})"
     copy = pickle.loads(pickle.dumps(g))
-    assert copy == g and hash(copy) == hash(g)
+    assert copy is g and hash(copy) == hash(g)
 
 
 @given(g=_GENERATORS)
@@ -107,6 +112,60 @@ def test_parsed_expression_pickles(e):
         assert format_expression(copy) == format_expression(expr)
     with pytest.raises(AttributeError):
         copy.terms = {}
+
+
+def test_terms_read_out_generator_words():
+    x1, p1 = Generator("x", (1,)), Generator("p", (1,))
+    e = Expression({(x1, p1): 2, (): Fraction(1, 2), (p1,): 0})
+    assert len(e.terms) == 2
+    assert dict(e.terms) == {(x1, p1): GaussRat(2), (): GaussRat(Fraction(1, 2))}
+    assert e.terms[(x1, p1)] == 2 and e.terms.get((p1, x1)) is None
+    assert (p1,) not in e.terms and ("x",) not in e.terms
+    assert sorted(e.terms.values(), key=lambda c: c.re) == [Fraction(1, 2), 2]
+    assert e.generators() == {x1, p1}
+    with pytest.raises(TypeError):
+        Expression({("x",): 1})
+
+
+_BUILD_ORDER_SCRIPT = """
+import pickle, sys
+from dfra import symcore
+if sys.argv[1] == "reversed":
+    # build every generator the tables below use first, against sort order
+    for name in ("K", "Z", "pi", "theta", "p", "x", "X"):
+        for i in range(4, -1, -1):
+            symcore.Generator(name, (i,))
+            for j in range(4, i, -1):
+                symcore.Generator(name, (i, j))
+from dfra import algebra, constraints
+alg, rel, ps = algebra.build(3), algebra.build(3, relativistic=True), constraints.build_phase_space(3)
+word = symcore.parse_expression("pi[1,2]*p[2]*theta[1,3]*x[2]*x[1] + x[3]*p[1]*x[1]")
+out = [t.table.dump() for t in (alg, rel, ps)]
+out += [str(symcore.normal_form(word, t.table)) for t in (alg, ps)]
+out += [str(algebra.angular_momentum(alg, 1, 2)), str(algebra.lorentz_generator(rel, 0, 1))]
+sys.stdout.write(pickle.dumps((out, symcore.normal_form(word, alg.table))).hex())
+"""
+
+
+def test_normal_forms_do_not_depend_on_the_order_generators_are_built():
+    # generator codes number generators as they are first built; the tables
+    # order words by sort_key whatever the codes, and pickles carry no codes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dfra.__file__)))
+    runs = [pickle.loads(bytes.fromhex(subprocess.run(
+        [sys.executable, "-c", _BUILD_ORDER_SCRIPT, order], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120).stdout))
+        for order in ("reversed", "natural")]
+    assert runs[0][0] == runs[1][0]
+    word = parse_expression("pi[1,2]*p[2]*theta[1,3]*x[2]*x[1] + x[3]*p[1]*x[1]")
+    here = normal_form(word, TABLE)
+    assert runs[0][1] == runs[1][1] == here
+    assert str(here) == runs[0][0][3]
+
+
+def test_table_ranks_order_each_universe_like_sort_key():
+    for table in (TABLE, algebra.build(4, relativistic=True).table):
+        by_rank = sorted(table.universe, key=lambda g: table._rank[g.code])
+        assert by_rank == sorted(table.universe, key=lambda g: g.sort_key)
 
 
 def test_expression_checked_on_one_table_is_checked_again_on_another():
