@@ -483,7 +483,12 @@ def clifford_suite(p: dict):
 
 
 def oscillator_suite(p: dict):
+    # Records compare in the oscillator's natural units, each exactly 1 at the
+    # defaults: theta in (Lambda Omega)^(-1/2), so a theta moment of degree d
+    # in its d-th power and the weight function in its (-M)-th power, and
+    # <x^2> in max(1/(m omega), m omega/(Lambda Omega)).
     quad_tol = 1e-8
+    lo = p["Lambda"] * p["Omega"]
     cfgs = {D: oscillator.OscillatorConfig(m=p["m"], omega=p["omega"], Lambda=p["Lambda"],
                                            Omega=p["Omega"], D=D) for D in (2, 3)}
 
@@ -502,7 +507,8 @@ def oscillator_suite(p: dict):
         got = {e: oscillator.moment_oracle(cfg, oscillator.monomial(e)).value for e in want}
         got["theta2"] = oscillator.moment_oracle(cfg, theta2).value
         want["theta2"] = oscillator.moment(cfg, "theta2")
-        worst = _worst(*(abs(got[k] - want[k]) for k in want))
+        degree = {k: 2 if k == "theta2" else sum(k) for k in want}
+        worst = _worst(*(abs(got[k] - want[k]) * lo ** (degree[k] / 2) for k in want))
         quad[D] = {"theta2": got["theta2"], "theta_ij_theta_kl": got[first2]}
         yield f"moments-vs-quadrature-D{D}", "oscillator-moments", worst, quad_tol
 
@@ -519,10 +525,10 @@ def oscillator_suite(p: dict):
         rng = np.random.default_rng(p["seed"])
         worst = 0.0
         for _ in range(20):
-            theta = rng.normal(0, 1, cfg.n_modes)
+            theta = rng.normal(0, lo ** -0.5, cfg.n_modes)
             w = oscillator.weight_function(cfg, theta)
             psi2 = abs(oscillator.ground_wavefunction(cfg, theta, 0.0)) ** 2
-            worst = _worst(worst, abs(w - psi2))
+            worst = _worst(worst, abs(w - psi2) * lo ** (-cfg.n_modes / 2))
         yield (f"weight-is-wavefunction-squared-D{D}", "weight-function",
                worst, 1e-12)
 
@@ -531,7 +537,7 @@ def oscillator_suite(p: dict):
         for label, which in (("theta2", "theta2"), ("pair-moment", "theta_ij_theta_kl")):
             value = oscillator.moment(cfg, which)
             yield (f"moment-{label}-D{D} = {value:g}", "oscillator-moments",
-                   abs(value - quad[D][which]), quad_tol)
+                   abs(value - quad[D][which]) * lo, quad_tol)
 
     # ground state of the X oscillator: <X^2> = D/(2 m omega), <p^2> = D m omega/2
     mw = p["m"] * p["omega"]
@@ -548,7 +554,8 @@ def oscillator_suite(p: dict):
         return 0.25 * (theta * theta).sum(axis=(-2, -1)) * p2 / cfg.D
 
     oracle = X2 + oscillator.moment_oracle(cfg, spread).value
-    yield "x2-spread-ground-state-D3", "coordinate-spread", abs(x2 - oracle), quad_tol
+    yield ("x2-spread-ground-state-D3", "coordinate-spread",
+           abs(x2 - oracle) / max(1 / mw, mw / lo), quad_tol)
 
 
 def field_suite(p: dict):
@@ -595,15 +602,17 @@ def field_suite(p: dict):
     kvec = np.array([0.4, 0.0, 0.0])
     k2 = reps.vec_to_mat([0, 0, 0, 0.6, 0, 0])  # K2_{12}
     w = field.dispersion(kvec, k2, lam, m)
+    # w +- 0.5 alone is a single float once w is about 1e16
+    half = max(0.5, w / 1024)
     worst = 0.0
     for sign in (+1, -1):
         root = _bisect(
             lambda k0: field.ExtendedMomentum(
                 np.array([k0, *kvec]), k2, lam
             ).squared() + m**2,
-            sign * w - 0.5, sign * w + 0.5,
+            sign * w - half, sign * w + half,
         )
-        worst = _worst(worst, abs(root - sign * w))
+        worst = _worst(worst, abs(root - sign * w) / w)
     yield "propagator-poles-at-dispersion", "propagator", worst, 1e-10
 
     sym = field.kg_symbol((16, 12, 10), 0.05, 0.2, 0.25, lam, m)
@@ -659,11 +668,14 @@ def _run(name: str, params: dict, **options) -> list[CheckResult]:
 
     Parameters inside their domains can still take a suite's floating-point
     arithmetic out of range (Omega = 1e300 overflows Omega^2); that is a
-    usage error, not a record.
+    usage error, not a record.  numpy overflow, invalid values and division
+    by zero raise FloatingPointError here, so they end like Python's own
+    arithmetic errors instead of warning.
     """
     try:
-        return _timed(SUITES[name](params, **options))
-    except (OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _timed(SUITES[name](params, **options))
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise UsageError(f"the {name} suite overflows or underflows at these parameters "
                          f"({type(exc).__name__}: {exc})") from None
 

@@ -266,13 +266,16 @@ def moment_oracle(
         chunk = 262_144
         children = np.random.SeedSequence(seed).spawn(-(-samples // chunk))
         sizes = [min(chunk, samples - i * chunk) for i in range(len(children))]
+        errstate = np.geterr()
 
         def chunk_sums(child, n):
             # may run in a worker thread, so it calls no public dfra function:
-            # perfbench's tracer wraps those and keeps a single span stack
-            theta = np.random.default_rng(child).normal(0.0, sigma, size=(n, M))
-            vals = np.asarray(f(theta), dtype=float)
-            return float(vals.sum()), float((vals * vals).sum())
+            # perfbench's tracer wraps those and keeps a single span stack;
+            # a worker starts from numpy's default error state, not the caller's
+            with np.errstate(**errstate):
+                theta = np.random.default_rng(child).normal(0.0, sigma, size=(n, M))
+                vals = np.asarray(f(theta), dtype=float)
+                return float(vals.sum()), float((vals * vals).sum())
 
         workers = 1
         if len(children) >= _MIN_THREADED_CHUNKS:

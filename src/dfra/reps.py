@@ -657,48 +657,19 @@ class SampledField:
 def scalar_field_transform(e: InfinitesimalElement, f: SampledField) -> np.ndarray:
     """delta phi = -(a + omega x)^mu d_mu phi - (1/2)(b + 2 omega theta)^{mu nu} d_{mu nu} phi.
 
-    Evaluated by central differences on the sample grid; the pair sum runs
-    over the canonical basis with the antisymmetrized theta coefficient.
+    The two flows are the rows of the d5 generator G = generator_matrix(e)
+    acting on y = (x, theta, 1), the pair sum running over the canonical
+    basis, so delta phi = -sum_A (G y)_A d_A phi over the ten grid axes,
+    evaluated by central differences.  An axis whose row of G is zero is
+    skipped, so it needs no stencil.
     """
-    omega = np.asarray(e.omega, dtype=float)
-    a = np.asarray(e.a, dtype=float)
-    b = np.asarray(e.b, dtype=float)
+    g = np.asarray(generator_matrix(e), dtype=float)
     out = np.zeros_like(f.values)
-
-    for mu in range(4):
-        coeff = None
-        if a[mu] != 0.0:
-            coeff = np.full_like(f.values, a[mu])
-        for nu in range(4):
-            if omega[mu, nu] != 0.0:
-                term = omega[mu, nu] * f.coordinate(nu)
-                coeff = term if coeff is None else coeff + term
-        if coeff is None:
+    for axis, row in enumerate(g[:10]):
+        if not row.any():
             continue
-        out = out - coeff * f.derivative(mu)
-
-    def theta_coord(mu, nu):
-        if mu == nu:
-            return 0.0
-        slot, sign = pair_slot(mu, nu)
-        return sign * f.coordinate(4 + slot)
-
-    for slot, (mu, nu) in enumerate(PAIRS):
-        coeff = None
-        if b[mu, nu] != 0.0:
-            coeff = np.full_like(f.values, b[mu, nu])
-        for rho in range(4):
-            for upper, lower, sign in ((mu, nu, 1.0), (nu, mu, -1.0)):
-                w = omega[upper, rho]
-                if w == 0.0:
-                    continue
-                tc = theta_coord(rho, lower)
-                if isinstance(tc, float):
-                    continue
-                term = sign * w * tc
-                coeff = term if coeff is None else coeff + term
-        if coeff is None:
-            continue
-        out = out - coeff * f.derivative(4 + slot)
-
+        flow = row[10]
+        for k in np.flatnonzero(row[:10]):
+            flow = flow + row[k] * f.coordinate(k)
+        out = out - flow * f.derivative(axis)
     return out

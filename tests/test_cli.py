@@ -17,6 +17,7 @@ from scipy.optimize import brentq
 import dfra
 from dfra import cli, field, oscillator, symcore
 from dfra.cli import (
+    PARAMS,
     REFERENCES,
     REPORT_SCHEMA,
     CheckResult,
@@ -173,6 +174,68 @@ def test_oscillator_parameters_out_of_float_range_exit_two(omega, capsys):
     assert "Traceback" not in err
     assert err.count("error:") == 1 and err.endswith("\n")
     assert err.splitlines()[-1].startswith("error: the oscillator suite ")
+
+
+@pytest.mark.parametrize("omega", ["1e-320", "1e-200"])
+def test_numpy_overflow_writes_one_error_line_and_no_warning(omega):
+    # run as a program: pytest would catch numpy's RuntimeWarnings before stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dfra.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "dfra.cli", "run", "--suite", "oscillator",
+         "--set", f"Omega={omega}", "--samples", "1000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: the oscillator suite "), lines
+
+
+@pytest.mark.parametrize("pair", ["Omega=1e-30", "Omega=1e-150", "omega=1e40"])
+def test_oscillator_records_pass_far_from_unit_scale(pair):
+    # the moments reach 1e30-1e150: an absolute tolerance fails them on rounding alone
+    report = run_suite("oscillator", parse_params([pair, "samples=1000"]))
+    failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
+    assert report["summary"]["total"] == 13 and not failed
+
+
+@pytest.mark.parametrize("Lambda", ["1e-30", "1", "1e6"])
+def test_weight_records_fail_a_doubled_weight(monkeypatch, Lambda):
+    # theta ~ N(0, 1) meets W where it is flat (Lambda = 1e-30) or zero
+    # (Lambda = 1e6); only draws at W's own scale see a wrong W there
+    weight = oscillator.weight_function
+    monkeypatch.setattr(oscillator, "weight_function", lambda cfg, th: 2 * weight(cfg, th))
+    report = run_suite("oscillator", parse_params([f"Lambda={Lambda}", "samples=1000"]))
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    for D in (2, 3):
+        assert status[f"weight-is-wavefunction-squared-D{D}"] == "fail"
+
+
+# the suites that read each float parameter; a new one fails collection below
+FLOAT_READERS = {"lambda": ("field",), "m": ("oscillator", "field"), "omega": ("oscillator",),
+                 "Lambda": ("oscillator",), "Omega": ("oscillator",)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key, suite, value", [
+    (key, suite, value)
+    for key, (typ, _, _) in PARAMS.items() if typ is float for suite in FLOAT_READERS[key]
+    for value in ("1e-300", "1e-30", "1e30", "1e300") + (("-1e30",) if key == "lambda" else ())
+])
+def test_in_domain_extremes_give_a_report_or_one_error_line(key, suite, value, tmp_path, capsys):
+    code = main(["run", "--suite", suite, "--set", f"{key}={value}", "--samples", "1000",
+                 "--format", "json", "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    else:
+        assert code in (0, 1) and not err, err
+
+
+@pytest.mark.parametrize("lam", ["1e30", "1e100", "1e150", "-1e30"])
+def test_large_lambda_poles_are_found(lam):
+    # a bracket of w +- 0.5 is a single float from w ~ 1e16 on, and bisection raised
+    report = run_suite("field", parse_params([f"lambda={lam}"]))
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["propagator-poles-at-dispersion"] == "pass"
 
 
 def test_monte_carlo_threshold_is_the_sidak_z(monkeypatch):

@@ -545,6 +545,84 @@ def test_transform_needs_stencil():
         scalar_field_transform(e, f)
 
 
+def test_transform_skips_an_axis_without_flow():
+    # axis 2 has 2 points, but a translation along x^0 moves nothing along it
+    f = _field_on({0: np.linspace(0, 1, 5), 2: np.array([0.0, 1.0])}, lambda g: g[0] + g[2])
+    e = InfinitesimalElement(np.zeros((4, 4)), np.array([1.0, 0, 0, 0]), np.zeros((4, 4)))
+    assert np.allclose(scalar_field_transform(e, f), -1.0, atol=1e-12)
+
+
+def test_transform_rotates_theta_and_boosts_x():
+    # pinned without the generator matrix: omega^{12} = 0.2 takes theta^{02}
+    # to 0.2 theta^{01}, and omega^{01} = 0.3 takes x^1 to -0.3 x^0
+    xs = np.linspace(-1.0, 1.0, 5)
+    f = _field_on({4: xs, 5: xs}, lambda g: g[5])
+    e = InfinitesimalElement.from_antisymmetric(vec_to_mat([0, 0, 0, 0.2, 0, 0]))
+    assert np.allclose(scalar_field_transform(e, f), 0.2 * f.coordinate(4), atol=1e-12)
+    f = _field_on({0: xs, 1: xs}, lambda g: g[1])
+    e = InfinitesimalElement.from_antisymmetric(vec_to_mat([0.3, 0, 0, 0, 0, 0]))
+    assert np.allclose(scalar_field_transform(e, f), -0.3 * f.coordinate(0), atol=1e-12)
+
+
+def _reference_transform(e: InfinitesimalElement, f: SampledField) -> np.ndarray:
+    """The flows written out by hand: (a + omega x)^mu on the x axes and the
+    antisymmetrized (b + 2 omega theta)^{mu nu} on the canonical pair axes.
+    An axis is differentiated unless every coefficient of its flow is zero."""
+    omega, a, b = (np.asarray(v, dtype=float) for v in (e.omega, e.a, e.b))
+
+    def theta(r, s):
+        slot, sign = pair_slot(r, s)
+        return sign * f.coordinate(4 + slot)
+
+    rows = [(a[mu], [(omega[mu, nu], f.coordinate(nu)) for nu in range(4)]) for mu in range(4)]
+    for mu, nu in PAIRS:
+        terms = [(omega[mu, r], theta(r, nu)) for r in range(4) if r != nu]
+        terms += [(-omega[nu, r], theta(r, mu)) for r in range(4) if r != mu]
+        rows.append((b[mu, nu], terms))
+    out = np.zeros_like(f.values)
+    for axis, (constant, terms) in enumerate(rows):
+        if constant or any(c for c, _ in terms):
+            flow = constant + sum(c * x for c, x in terms)
+            out = out - flow * f.derivative(axis)
+    return out
+
+
+def _sparse_infinitesimal(rng: random.Random, exact: bool) -> InfinitesimalElement:
+    """About half of the parameters zero, so that some flows vanish."""
+    def draw():
+        v = _f(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.5 else _f(0)
+        return v if exact else float(v) * rng.uniform(0.5, 2.0)
+
+    dtype = object if exact else float
+    w_up, b = (vec_to_mat(np.array([draw() for _ in PAIRS], dtype=dtype)) for _ in range(2))
+    return InfinitesimalElement.from_antisymmetric(
+        w_up, np.array([draw() for _ in range(4)], dtype=dtype), b)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_transform_matches_the_hand_written_flows(exact):
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(200):
+        e = _sparse_infinitesimal(rng, exact)
+        shape = tuple(rng.choice((1, 1, 1, 2, 3, 4)) for _ in range(10))
+        origin = tuple(rng.uniform(-1, 1) for _ in range(10))
+        spacing = tuple(rng.uniform(0.1, 1) for _ in range(10))
+        values = np.random.default_rng(rng.randrange(2**32)).normal(size=shape)
+        f = SampledField(values, origin, spacing)
+        try:
+            want = _reference_transform(e, f)
+        except StencilError:
+            outcomes.add("stencil")
+            with pytest.raises(StencilError):
+                scalar_field_transform(e, f)
+            continue
+        outcomes.add("value")
+        assert np.allclose(scalar_field_transform(e, f), want,
+                           rtol=0, atol=1e-13 * max(1.0, np.abs(want).max()))
+    assert outcomes == {"stencil", "value"}
+
+
 def _quadratic_field() -> SampledField:
     # varies along x0, x1, theta^{01} (axis 4), theta^{02} (axis 5)
     xs = np.linspace(-1.0, 1.0, 9)
