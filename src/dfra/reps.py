@@ -502,7 +502,9 @@ def expm(a) -> np.ndarray:
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
         raise ValueError("expm needs finite entries")
-    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    # no scaling at or below theta_13; comparing first keeps a subnormal norm
+    # from underflowing norm / theta_13 to 0 and log2 from failing on it
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a * 2.0**-s
     b = _PADE13
     eye = np.eye(a.shape[0], dtype=a.dtype)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -369,6 +369,7 @@ def _assert_expm_matches_scipy(a):
 
 
 @given(st.lists(st.floats(-1, 1), min_size=16, max_size=16))
+@example([0.0] * 15 + [5e-324])  # a subnormal 1-norm: norm / theta_13 underflows to 0
 @settings(max_examples=200, deadline=None)
 def test_expm_matches_scipy_on_real_4x4(entries):
     _assert_expm_matches_scipy(np.array(entries).reshape(4, 4))
