@@ -623,7 +623,9 @@ def field_suite(p: dict):
         kq_eff = 2.0 / 0.25 * math.sin(math.pi * j[2] / 10)
         K = field.ExtendedMomentum(np.array([-w_eff, kx_eff, 0.0, 0.0]),
                                    reps.vec_to_mat([0, 0, 0, kq_eff, 0, 0]), lam)
-        worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real))
+        # in the scale of the symbol's terms, which grows as lambda^2
+        scale = w_eff**2 + kx_eff**2 + lam**2 * kq_eff**2 + m**2
+        worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real) / scale)
     yield "symbol-matches-propagator", "propagator", worst, 1e-9
 
     rng = random.Random(p["seed"])

@@ -235,10 +235,10 @@ def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
     return dqq - delta * c
 
 
-def _symbol_axes(shape, dt: float, dx: float, dtheta: float):
+def _symbol_axes(shape, *spacings: float):
     """The per-axis squared lattice momenta (2/h)^2 sin^2(pi j / n)."""
     return tuple((2.0 / h * np.sin(np.pi * np.arange(n) / n)) ** 2
-                 for n, h in zip(shape, (dt, dx, dtheta)))
+                 for n, h in zip(shape, spacings))
 
 
 def kg_symbol(
@@ -447,9 +447,20 @@ def evolve_leapfrog(
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, float, Charges]]]:
     """Free leapfrog evolution on the periodic (x, theta) grid.
 
+    The recurrence is the textbook one,
+      phi_1     = phi_0 + dt phidot_0 + (dt^2 / 2) L phi_0,
+      phi_{n+1} = 2 phi_n - phi_{n-1} + dt^2 L phi_n,
+    with L = lap_x + lam^2 lap_theta - m^2 from periodic 3-point stencils.
+    It is stepped in the lattice's Fourier basis, where L is the diagonal
+    symbol s = -kx^2 - lam^2 kq^2 - m^2 of greens_solve (_symbol_axes), so a
+    step is phi_{n+1} = (2 + dt^2 s) phi_n - phi_{n-1} mode by mode and
+    agrees with the stencil recurrence up to rounding.  Slices return to
+    real space only for the recorded charges and the two returned slices.
+
     Returns the last two field slices and the recorded charge series
-    [(step, t, charges)].  Raises when steps < 1 or dt exceeds the stability
-    bound.
+    [(step, t, charges)].  Raises ValueError unless phi and phidot are
+    finite (x, theta) arrays of one shape, when steps < 1 or when dt
+    exceeds the stability bound.
     """
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
@@ -460,63 +471,40 @@ def evolve_leapfrog(
         )
     phi = np.asarray(phi, dtype=complex)
     phidot = np.asarray(phidot, dtype=complex)
-    # The stencil is the textbook one,
-    #   (roll(v, -1) - 2 v + roll(v, 1)) / h^2 per axis, then
-    #   lap_x + lam^2 lap_q - m^2 v,
-    # with the same operations in the same order, written in place into
-    # preallocated C-ordered buffers.  The periodic shifts are slice copies;
-    # along theta they run over the flattened rows, and the wrap-around
-    # column is then redone.  / h^2 is * (1 / h^2): numpy divides a complex
-    # by a real as a product with the reciprocal, so the values agree bit
-    # for bit (signs of zeros aside).
-    inv_dx2, inv_dq2 = 1.0 / dx**2, 1.0 / dtheta**2
-    lam2, m2, dt2 = lam**2, m**2, dt**2
-    two_v, lap, tmp = (np.empty(phi.shape, dtype=complex) for _ in range(3))
-    first_col = np.empty(phi.shape[0], dtype=complex)
+    if phi.ndim != 2 or phi.shape != phidot.shape:
+        raise ValueError(f"phi {phi.shape} and phidot {phidot.shape} must be "
+                         "(x, theta) slices of one shape")
+    # one NaN would spread over every mode at the first transform
+    if not (np.isfinite(phi).all() and np.isfinite(phidot).all()):
+        raise ValueError("phi and phidot must be finite")
+    nx, nq = phi.shape
+    kx, kq = _symbol_axes((nx, nq), dx, dtheta)
+    s = -kx.reshape(nx, 1) - lam**2 * kq - m**2
+    prev = np.fft.fft2(phi, out=np.empty((nx, nq), dtype=complex))
+    cur = np.fft.fft2(phidot, out=np.empty((nx, nq), dtype=complex))
+    cur *= dt
+    cur += prev
+    cur += 0.5 * dt**2 * s * prev
+    # next = gain cur - prev, written over prev, on the float64 views of the
+    # C-ordered complex arrays: a real gain repeated per (re, im) pair keeps
+    # both passes contiguous
+    gain = np.repeat(2.0 + dt**2 * s, 2, axis=1)
+    tmp = np.empty_like(gain)
 
-    def spatial(v):
-        """Leaves the stencil in lap and 2 v in two_v."""
-        np.multiply(v, 2, out=two_v)
-        np.subtract(v[1:], two_v[:-1], out=lap[:-1])
-        np.subtract(v[:1], two_v[-1:], out=lap[-1:])
-        lap[1:] += v[:-1]
-        lap[:1] += v[-1:]
-        np.multiply(lap, inv_dx2, out=lap)
-        flat, flat_two, flat_tmp = v.reshape(-1), two_v.reshape(-1), tmp.reshape(-1)
-        np.subtract(flat[1:], flat_two[:-1], out=flat_tmp[:-1])
-        np.subtract(v[:, 0], two_v[:, -1], out=tmp[:, -1])
-        np.add(tmp[:, 0], v[:, -1], out=first_col)
-        flat_tmp[1:] += flat[:-1]
-        tmp[:, 0] = first_col
-        np.multiply(tmp, inv_dq2, out=tmp)
-        np.multiply(tmp, lam2, out=tmp)
-        np.add(lap, tmp, out=lap)
-        np.multiply(v, m2, out=tmp)
-        np.subtract(lap, tmp, out=lap)
+    def charges():
+        return noether_charges(np.fft.ifft2(prev), np.fft.ifft2(cur),
+                               dt, dx, dtheta, lam, m)
 
-    prev = np.array(phi, order="C")
-    spatial(prev)
-    lap *= 0.5 * dt2
-    cur = np.multiply(phidot, dt, out=np.empty_like(prev))
-    np.add(prev, cur, out=cur)
-    cur += lap
     series: list[tuple[int, float, Charges]] = []
     if record_every:
-        series.append(
-            (0, 0.0, noether_charges(prev, cur, dt, dx, dtheta, lam, m))
-        )
+        series.append((0, 0.0, charges()))
     for n in range(1, steps):
-        # next = 2 cur - prev + dt^2 spatial(cur), written over prev
-        spatial(cur)
-        lap *= dt2
-        np.subtract(two_v, prev, out=prev)
-        prev += lap
+        np.multiply(gain, cur.view(float), out=tmp)
+        np.subtract(tmp, prev.view(float), out=prev.view(float))
         prev, cur = cur, prev
         if record_every and n % record_every == 0:
-            series.append(
-                (n, n * dt, noether_charges(prev, cur, dt, dx, dtheta, lam, m))
-            )
-    return prev, cur, series
+            series.append((n, n * dt, charges()))
+    return np.fft.ifft2(prev), np.fft.ifft2(cur), series
 
 
 def fit_frequency(samples: np.ndarray, dt: float) -> float:

@@ -238,6 +238,24 @@ def test_large_lambda_poles_are_found(lam):
     assert status["propagator-poles-at-dispersion"] == "pass"
 
 
+@pytest.mark.parametrize("lam", ["1", "1e30", "1e100", "1e150"])
+def test_symbol_record_compares_in_the_symbol_scale(lam):
+    # at lambda = 1e100 the symbol is 6.4e201 and an absolute comparison read
+    # a rounding difference of 6.8e184 as a FAIL
+    report = run_suite("field", parse_params([f"lambda={lam}"]))
+    record = next(c for c in report["checks"] if c["name"] == "symbol-matches-propagator")
+    assert record["status"] == "pass" and record["residual"] < 1e-15
+
+
+@pytest.mark.parametrize("sets", [[], ["steps=5000", "nx=256", "ntheta=128"]],
+                         ids=["defaults", "5000-steps-256x128"])
+def test_charge_drift_stays_at_rounding_level(sets):
+    # the record's tolerance 1e-6 would let the rounding error grow 1e8-fold
+    report = run_suite("field", parse_params(sets))
+    record = next(c for c in report["checks"] if c["name"].startswith("charge-drift-"))
+    assert record["residual"] < 1e-12
+
+
 def test_monte_carlo_threshold_is_the_sidak_z(monkeypatch):
     tail = 1 - (1 - cli.MC_FALSE_ALARM_RATE) ** (1 / cli.MC_RECORDS)
     assert cli.MC_Z == pytest.approx(NormalDist().inv_cdf(1 - tail / 2), rel=1e-12)

@@ -333,6 +333,29 @@ def test_evolution_rejects_unstable_dt():
         )
 
 
+@pytest.mark.parametrize("phi, phidot", [
+    (np.zeros((8, 6)), np.zeros(6)),  # would broadcast over the rows
+    (np.zeros(8), np.zeros(8)),  # not an (x, theta) slice
+    (np.zeros((8, 6)), np.zeros((6, 8))),
+], ids=["phidot-one-row", "one-dimensional", "transposed-phidot"])
+def test_evolution_rejects_slices_of_other_shapes(phi, phidot):
+    dt = 0.5 * max_stable_dt(0.1, 0.1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        evolve_leapfrog(phi, phidot, 10, dt=dt, dx=0.1, dtheta=0.1, lam=1.0, m=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("which", ["phi", "phidot"])
+def test_evolution_rejects_non_finite_slices(which, bad):
+    # a transform would spread one NaN over the whole grid at once
+    slices = {"phi": np.zeros((8, 6), dtype=complex), "phidot": np.zeros((8, 6), dtype=complex)}
+    slices[which][3, 2] = bad
+    dt = 0.5 * max_stable_dt(0.1, 0.1, 1.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_leapfrog(slices["phi"], slices["phidot"], 10,
+                        dt=dt, dx=0.1, dtheta=0.1, lam=1.0, m=1.0)
+
+
 def test_evolution_rejects_fewer_than_one_step():
     dt = 0.5 * max_stable_dt(0.1, 0.1, 1.0, 1.0)
     for steps in (0, -3):

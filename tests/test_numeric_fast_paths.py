@@ -3,13 +3,17 @@
 The references below are the straightforward formulas: the np.roll leapfrog
 stepper, the full-grid Green's solve with one complex regularized symbol,
 the three-derivative stencil of kg_apply, and the serial Monte Carlo fold.
-The kernels reorganize memory (preallocated buffers, time slices, slabs,
-worker threads) but keep each floating-point operation and its order, so the
-comparisons are exact.  numpy's complex / real divides as a product with the
-reciprocal, which the kernels write out; that can flip only the sign of an
-exact zero, so arrays are compared with IEEE equality (-0.0 == 0.0).
-"""
+The Green's solve, the stencils and the Monte Carlo fold reorganize memory
+(preallocated buffers, time slices, slabs, worker threads) but keep each
+floating-point operation and its order, so those comparisons are exact.
+numpy's complex / real divides as a product with the reciprocal, which the
+kernels write out; that can flip only the sign of an exact zero, so arrays
+are compared with IEEE equality (-0.0 == 0.0).
 
+The leapfrog is the one exception: it steps the same linear recurrence in
+the lattice's Fourier basis, so it agrees with the roll stepper only up to
+rounding, and is compared within a bound stated in its tests.
+"""
 import math
 import warnings
 
@@ -95,11 +99,35 @@ def _complex_grid(rng, shape):
 # -- leapfrog --------------------------------------------------------------------
 
 
+# The Fourier-basis stepper rounds differently from the roll stepper.  Both
+# errors grow at most linearly in the step count, so fields and charges must
+# agree within LEAPFROG_C * eps * steps * scale, the scale being the largest
+# magnitude among the reference's slices or among one record's charges.  The
+# worst constant seen over 4000 random cases like those below was 3 for
+# fields and 7 for charges; an O(1) change to the recurrence (lambda for
+# lambda^2, a dropped 1/2 in the first half-step) is over 1e11 times over it.
+LEAPFROG_C = 32
+
+
+def assert_leapfrog_close(got, ref, steps):
+    eps = np.finfo(float).eps
+    (prev, cur, series), (ref_prev, ref_cur, ref_series) = got, ref
+    scale = max(np.abs(ref_prev).max(), np.abs(ref_cur).max())
+    for out, want in ((prev, ref_prev), (cur, ref_cur)):
+        assert np.abs(out - want).max() <= LEAPFROG_C * eps * steps * scale
+    # the same record steps and times, exactly
+    assert [(n, t) for n, t, _ in series] == [(n, t) for n, t, _ in ref_series]
+    for (_, _, charges), (_, _, ref_charges) in zip(series, ref_series):
+        scale = max(abs(v) for v in ref_charges)
+        for v, want in zip(charges, ref_charges):
+            assert abs(v - want) <= LEAPFROG_C * eps * steps * scale
+
+
 @given(nx=st.integers(1, 9), nq=st.integers(1, 9), steps=st.integers(1, 7),
        record_every=st.sampled_from([0, 1, 3]), lam=st.sampled_from([0.0, 0.6, 1.3]),
        m=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2**16))
 @settings(max_examples=80, deadline=None)
-def test_leapfrog_equals_roll_stepper(nx, nq, steps, record_every, lam, m, seed):
+def test_leapfrog_matches_roll_stepper(nx, nq, steps, record_every, lam, m, seed):
     rng = np.random.default_rng(seed)
     phi, phidot = _complex_grid(rng, (nx, nq)), _complex_grid(rng, (nx, nq))
     phi_in, phidot_in = phi.copy(), phidot.copy()
@@ -107,29 +135,24 @@ def test_leapfrog_equals_roll_stepper(nx, nq, steps, record_every, lam, m, seed)
     dt = 0.7 * field.max_stable_dt(dx, dq, lam, m)
     args = (steps, dt, dx, dq, lam, m)
 
-    prev, cur, series = field.evolve_leapfrog(phi, phidot, *args, record_every=record_every)
-    ref_prev, ref_cur, ref_series = reference_leapfrog(phi_in, phidot_in, *args,
-                                                       record_every)
-    assert np.array_equal(prev, ref_prev)
-    assert np.array_equal(cur, ref_cur)
-    assert series == ref_series
+    got = field.evolve_leapfrog(phi, phidot, *args, record_every=record_every)
+    assert_leapfrog_close(got, reference_leapfrog(phi_in, phidot_in, *args, record_every),
+                          steps)
     # the caller's arrays are neither changed nor handed back
     assert np.array_equal(phi, phi_in) and np.array_equal(phidot, phidot_in)
-    for out in (prev, cur):
+    for out in got[:2]:
         assert not np.shares_memory(out, phi) and not np.shares_memory(out, phidot)
 
 
-def test_leapfrog_equals_roll_stepper_on_a_fortran_ordered_mode():
+def test_leapfrog_matches_roll_stepper_on_a_fortran_ordered_mode():
     nx, nq, lam, m = 12, 7, 0.8, 1.0
     dx, dq = 2 * np.pi / nx, 2 * np.pi / nq
     dt = 0.5 * field.max_stable_dt(dx, dq, lam, m)
     phi0, phidot0, _ = field.discrete_mode_initial((nx, nq), dt, dx, dq, lam, m)
     args = (phi0, phidot0, 40, dt, dx, dq, lam, m)
-    prev, cur, series = field.evolve_leapfrog(*(np.asfortranarray(a) for a in args[:2]),
-                                              *args[2:], record_every=4)
-    ref_prev, ref_cur, ref_series = reference_leapfrog(*args, 4)
-    assert np.array_equal(prev, ref_prev) and np.array_equal(cur, ref_cur)
-    assert series == ref_series
+    got = field.evolve_leapfrog(*(np.asfortranarray(a) for a in args[:2]),
+                                *args[2:], record_every=4)
+    assert_leapfrog_close(got, reference_leapfrog(*args, 4), 40)
 
 
 # -- Green's solve and residual ----------------------------------------------------
