@@ -615,17 +615,19 @@ def field_suite(p: dict):
         worst = _worst(worst, abs(root - sign * w) / w)
     yield "propagator-poles-at-dispersion", "propagator", worst, 1e-10
 
-    sym = field.kg_symbol((16, 12, 10), 0.05, 0.2, 0.25, lam, m)
+    # at lambda and 2 lambda: at lambda = 1 alone, lambda and lambda^2 agree
     worst = 0.0
-    for j in [(0, 1, 0), (1, 0, 1), (2, 1, 1)]:
-        w_eff = 2.0 / 0.05 * math.sin(math.pi * j[0] / 16)
-        kx_eff = 2.0 / 0.2 * math.sin(math.pi * j[1] / 12)
-        kq_eff = 2.0 / 0.25 * math.sin(math.pi * j[2] / 10)
-        K = field.ExtendedMomentum(np.array([-w_eff, kx_eff, 0.0, 0.0]),
-                                   reps.vec_to_mat([0, 0, 0, kq_eff, 0, 0]), lam)
-        # in the scale of the symbol's terms, which grows as lambda^2
-        scale = w_eff**2 + kx_eff**2 + lam**2 * kq_eff**2 + m**2
-        worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real) / scale)
+    for lam_ in (lam, 2.0 * lam):
+        sym = field.kg_symbol((16, 12, 10), 0.05, 0.2, 0.25, lam_, m)
+        for j in [(0, 1, 0), (1, 0, 1), (2, 1, 1)]:
+            w_eff = 2.0 / 0.05 * math.sin(math.pi * j[0] / 16)
+            kx_eff = 2.0 / 0.2 * math.sin(math.pi * j[1] / 12)
+            kq_eff = 2.0 / 0.25 * math.sin(math.pi * j[2] / 10)
+            K = field.ExtendedMomentum(np.array([-w_eff, kx_eff, 0.0, 0.0]),
+                                       reps.vec_to_mat([0, 0, 0, kq_eff, 0, 0]), lam_)
+            # in the scale of the symbol's terms, which grows as lambda^2
+            scale = w_eff**2 + kx_eff**2 + lam_**2 * kq_eff**2 + m**2
+            worst = _worst(worst, abs(sym[j] - (1.0 / field.propagator(K, m)).real) / scale)
     yield "symbol-matches-propagator", "propagator", worst, 1e-9
 
     rng = random.Random(p["seed"])

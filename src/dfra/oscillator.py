@@ -128,7 +128,9 @@ def _lowest_dvr_eigenvalue(cfg: OscillatorConfig, half: float,
     k = np.subtract.outer(np.arange(points), np.arange(points))
     T = 2.0 * (-1.0) ** k / np.maximum(k * k, 1)
     np.fill_diagonal(T, math.pi**2 / 3.0)
-    H = T / (2.0 * cfg.Lambda * h * h) + np.diag(0.5 * cfg.Lambda * cfg.Omega**2 * theta**2)
+    # Lambda Omega theta^2 first: Omega^2 underflows where Omega does not
+    potential = 0.5 * ((cfg.Lambda * cfg.Omega) * theta**2) * cfg.Omega
+    H = T / (2.0 * cfg.Lambda * h * h) + np.diag(potential)
     lowest = float(np.linalg.eigvalsh(H)[0])
     return lowest, points * np.finfo(float).eps * float(np.abs(H).sum(axis=1).max())
 
@@ -225,11 +227,15 @@ def monomial(exponents: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
 
     def f(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        out = np.ones(theta.shape[:-1])
+        out = None
         for c, e in enumerate(exponents):
             if e:
-                out = out * theta[..., c] ** e
-        return out
+                factor = theta[..., c] ** e
+                if out is None:
+                    out = factor
+                else:
+                    out *= factor
+        return np.ones(theta.shape[:-1]) if out is None else out
 
     return f
 
@@ -265,44 +271,74 @@ def moment_oracle(
         sigma = 1.0 / math.sqrt(2.0 * lo)
         chunk = 262_144
         children = np.random.SeedSequence(seed).spawn(-(-samples // chunk))
-        sizes = [min(chunk, samples - i * chunk) for i in range(len(children))]
-        errstate = np.geterr()
-
-        def chunk_sums(child, n):
-            # may run in a worker thread, so it calls no public dfra function:
-            # perfbench's tracer wraps those and keeps a single span stack;
-            # a worker starts from numpy's default error state, not the caller's
-            with np.errstate(**errstate):
-                theta = np.random.default_rng(child).normal(0.0, sigma, size=(n, M))
-                vals = np.asarray(f(theta), dtype=float)
-                return float(vals.sum()), float((vals * vals).sum())
-
         workers = 1
         if len(children) >= _MIN_THREADED_CHUNKS:
             workers = min(len(children), _usable_cpus())
+        # the calling thread allocates every worker's draw buffer, so that no
+        # worker thread's malloc arena keeps one once the thread is done
+        rows = min(chunk, samples)
+        buffers = [np.empty((rows, M)) for _ in range(workers)]
+        parts = [None] * len(children)  # (k, sum f/2^k, sum (f/2^k)^2) per chunk
+        errstate = np.geterr()
+
+        def draw(w):
+            # worker w takes chunks w, w + workers, ...; it may run in a worker
+            # thread, so it calls no public dfra function: perfbench's tracer
+            # wraps those and keeps a single span stack; a worker starts from
+            # numpy's default error state, not the caller's
+            theta_buf = buffers[w]
+            # once f has read a chunk's draws, the buffer's first n floats take
+            # the scaled values and then their squares; numpy copies vals first
+            # where f returned a view that overlaps them
+            scratch = theta_buf.reshape(-1)
+            with np.errstate(**errstate):
+                for i in range(w, len(children), workers):
+                    n = min(chunk, samples - i * chunk)
+                    theta = theta_buf[:n]
+                    # sigma * z is what normal(0.0, sigma) computes, bit for bit
+                    np.random.default_rng(children[i]).standard_normal(out=theta)
+                    theta *= sigma
+                    vals = np.asarray(f(theta), dtype=float)
+                    # |f| / 2^k < 1, so the squares cannot overflow; scaling by
+                    # a power of two is exact, so the sums are 2^-k times the
+                    # raw ones (2^1022 at most: 2^1073 is not a float)
+                    k = max(math.frexp(max(vals.max(), -vals.min()))[1], -1022)
+                    scaled = np.multiply(vals, 2.0 ** -k, out=scratch[:n])
+                    chunk_sum = float(scaled.sum())
+                    scaled *= scaled
+                    parts[i] = k, chunk_sum, float(scaled.sum())
+
         if workers == 1:
-            parts = list(map(chunk_sums, children, sizes))
+            draw(0)
         else:
-            with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-                parts = list(pool.map(chunk_sums, children, sizes))
-        # fold in chunk order, so the sums do not depend on the thread count
+            # the calling thread is worker 0
+            with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
+                helpers = [pool.submit(draw, w) for w in range(1, workers)]
+                draw(0)
+                for helper in helpers:
+                    helper.result()
+        # fold in chunk order at the largest chunk's scale, so the sums do not
+        # depend on the thread count
+        top = max(k for k, _, _ in parts)
         total = 0.0
         total_sq = 0.0
-        for s, sq in parts:
-            total += s
-            total_sq += sq
+        for k, s, sq in parts:
+            total += math.ldexp(s, k - top)
+            total_sq += math.ldexp(sq, 2 * (k - top))
         mean = total / samples
         var = max(total_sq / samples - mean * mean, 0.0)
         stderr = math.sqrt(var / samples)
-        return MomentEstimate(mean, stderr, "monte-carlo", samples)
+        return MomentEstimate(math.ldexp(mean, top), math.ldexp(stderr, top),
+                              "monte-carlo", samples)
     raise ValueError(f"unknown method {method!r}")
 
 
 # Monte Carlo draws its chunks on threads only from this many chunks on.
-# Each worker thread gets its own malloc arena, which keeps about one chunk's
-# arrays (2-14 MB at M <= 3) after the thread is done: 7-9 MB more peak RSS
-# per thread on `dfra run --suite all`, whose 1M samples are 4 chunks.  Below
-# 16 chunks (4.2M samples) sampling takes well under a second on one thread.
+# Each worker holds its own draw buffer and f's values for its chunk at the
+# same time as the others (8.4 MB at M = 3): threading the 1M samples (4
+# chunks) of `dfra run --suite all` on 2 CPUs raised its peak RSS from 51.4 to
+# 61.4 MB.  Below 16 chunks (4.2M samples) sampling takes well under a second
+# on one thread.
 _MIN_THREADED_CHUNKS = 16
 
 

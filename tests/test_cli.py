@@ -176,7 +176,8 @@ def test_oscillator_parameters_out_of_float_range_exit_two(omega, capsys):
     assert err.splitlines()[-1].startswith("error: the oscillator suite ")
 
 
-@pytest.mark.parametrize("omega", ["1e-320", "1e-200"])
+# theta^2 overflows in numpy at the DVR grid's edge, 64/Omega, from Omega < 3.6e-307 on
+@pytest.mark.parametrize("omega", ["1e-320", "1e-307"])
 def test_numpy_overflow_writes_one_error_line_and_no_warning(omega):
     # run as a program: pytest would catch numpy's RuntimeWarnings before stderr
     src = os.path.dirname(os.path.dirname(os.path.abspath(dfra.__file__)))
@@ -189,9 +190,10 @@ def test_numpy_overflow_writes_one_error_line_and_no_warning(omega):
     assert len(lines) == 1 and lines[0].startswith("error: the oscillator suite "), lines
 
 
-@pytest.mark.parametrize("pair", ["Omega=1e-30", "Omega=1e-150", "omega=1e40"])
+@pytest.mark.parametrize("pair", ["Omega=1e-30", "Omega=1e-150", "Omega=1e-200", "omega=1e40"])
 def test_oscillator_records_pass_far_from_unit_scale(pair):
-    # the moments reach 1e30-1e150: an absolute tolerance fails them on rounding alone
+    # the moments reach 1e30-1e200: an absolute tolerance fails them on rounding
+    # alone; at 1e-200 the raw Monte Carlo squares (1e400) and Omega^2 are out of range
     report = run_suite("oscillator", parse_params([pair, "samples=1000"]))
     failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
     assert report["summary"]["total"] == 13 and not failed
@@ -245,6 +247,20 @@ def test_symbol_record_compares_in_the_symbol_scale(lam):
     report = run_suite("field", parse_params([f"lambda={lam}"]))
     record = next(c for c in report["checks"] if c["name"] == "symbol-matches-propagator")
     assert record["status"] == "pass" and record["residual"] < 1e-15
+
+
+def test_symbol_record_fails_a_symbol_linear_in_lambda_at_the_defaults(monkeypatch):
+    # at lambda = 1, lambda * kq and lambda^2 * kq are the same number
+    def linear(shape, dt, dx, dtheta, lam, m):
+        nt, nx, nq = shape
+        wt, kx, kq = field._symbol_axes(shape, dt, dx, dtheta)
+        return (wt.reshape(nt, 1, 1) - kx.reshape(1, nx, 1)
+                - lam * kq.reshape(1, 1, nq) - m**2)
+
+    monkeypatch.setattr(field, "kg_symbol", linear)
+    report = run_suite("field", parse_params([]))
+    record = next(c for c in report["checks"] if c["name"] == "symbol-matches-propagator")
+    assert record["status"] == "fail"
 
 
 @pytest.mark.parametrize("sets", [[], ["steps=5000", "nx=256", "ntheta=128"]],

@@ -15,6 +15,7 @@ the lattice's Fourier basis, so it agrees with the roll stepper only up to
 rounding, and is compared within a bound stated in its tests.
 """
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -266,6 +267,18 @@ def test_monte_carlo_equals_serial_fold_for_any_worker_count(D, samples, monkeyp
         assert est == (mean, stderr, "monte-carlo", samples)
 
 
+@pytest.mark.parametrize("D", [2, 3], ids=["M1", "M3"])
+def test_monte_carlo_f_may_return_a_view_of_its_draws(D):
+    # the scaled values go where the draws were, so they overlap such an f's output
+    cfg = oscillator.OscillatorConfig(D=D, Lambda=1.3, Omega=0.7)
+
+    def f(theta):
+        return theta[..., -1]
+
+    est = oscillator.moment_oracle(cfg, f, "monte-carlo", samples=2 * _CHUNK + 7, seed=4)
+    assert est[:2] == reference_monte_carlo(cfg, f, 2 * _CHUNK + 7, 4)
+
+
 def test_monte_carlo_threads_only_for_many_chunks_and_at_most_one_per_chunk(monkeypatch):
     pools = []
     real = oscillator.concurrent.futures.ThreadPoolExecutor
@@ -277,8 +290,32 @@ def test_monte_carlo_threads_only_for_many_chunks_and_at_most_one_per_chunk(monk
     monkeypatch.setattr(oscillator.concurrent.futures, "ThreadPoolExecutor", recording)
     cfg = oscillator.OscillatorConfig(D=2)
     least = oscillator._MIN_THREADED_CHUNKS
-    for cpus, chunks in ((3, 1), (3, least - 1), (3, least), (2 * least, least)):
+    for cpus, chunks in ((3, 1), (3, least - 1), (1, least), (3, least), (2 * least, least)):
         monkeypatch.setattr(oscillator, "_usable_cpus", lambda c=cpus: c)
         oscillator.moment_oracle(cfg, oscillator.monomial((2,)), "monte-carlo",
                                  samples=chunks * _CHUNK)
-    assert pools == [3, least]
+    # the calling thread draws too, so min(cpus, chunks) workers start one
+    # thread fewer: fewer threads than chunks, and none below `least` chunks
+    assert pools == [3 - 1, least - 1]
+
+
+def test_monte_carlo_one_buffer_per_worker_and_chunk_0_on_the_caller(monkeypatch):
+    cfg = oscillator.OscillatorConfig(D=3, Lambda=1.3, Omega=0.7)
+    workers, chunks, seed = 3, 8, 5
+    monkeypatch.setattr(oscillator, "_MIN_THREADED_CHUNKS", 2)
+    monkeypatch.setattr(oscillator, "_usable_cpus", lambda: workers)
+    seen = []  # (thread, buffer, first row) per chunk
+
+    def f(theta):
+        seen.append((threading.get_ident(), theta.base, theta[0].copy()))
+        return theta[..., 0] ** 2
+
+    oscillator.moment_oracle(cfg, f, "monte-carlo", samples=chunks * _CHUNK - 3, seed=seed)
+    assert len(seen) == chunks
+    assert all(base is not None for _, base, _ in seen)  # views, not fresh arrays
+    assert len({id(base) for _, base, _ in seen}) <= workers
+    sigma = 1.0 / math.sqrt(2.0 * cfg.Lambda * cfg.Omega)
+    child = np.random.SeedSequence(seed).spawn(chunks)[0]
+    first = np.random.default_rng(child).normal(0.0, sigma, cfg.n_modes)
+    (thread,) = [t for t, _, row in seen if np.array_equal(row, first)]
+    assert thread == threading.get_ident()
