@@ -179,7 +179,7 @@ def parse_params(pairs: list[str], config_file: str | None = None) -> dict:
         try:
             values[key] = typ(raw)
         except ValueError as exc:
-            raise UsageError(f"parameter {key} needs a {typ.__name__}") from exc
+            raise UsageError(f"parameter {key} needs {'an int' if typ is int else 'a float'}") from exc
     for key, value in values.items():
         if not math.isfinite(value):
             raise UsageError(f"parameter {key} must be finite, got {value}")
@@ -735,9 +735,21 @@ def _report_json(report: dict) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file and a rename.
+
+    The file gets the mode open(path, "w") would give it: an existing file's
+    own, or 0o666 less the umask (mkstemp alone makes 0o600).
+    """
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -760,7 +772,11 @@ def _cmd_run(args) -> int:
         else format_report_text(report)
     )
     if args.out:
-        _atomic_write(args.out, text)
+        try:
+            _atomic_write(args.out, text)
+        except OSError as exc:
+            raise UsageError(f"cannot write the report to {args.out}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 0 if report["summary"]["failed"] == 0 else 1

@@ -114,6 +114,13 @@ def max_stable_dt(dx: float, dtheta: float, lam: float, m: float) -> float:
     return float(2.0 / np.sqrt(4.0 / dx**2 + 4.0 * lam**2 / dtheta**2 + m**2))
 
 
+def _require_spacings(**spacings: float) -> None:
+    """ValueError naming the first spacing that is not finite and positive."""
+    for name, h in spacings.items():
+        if not 0.0 < h < np.inf:  # False for NaN too
+            raise ValueError(f"spacings must be finite and positive, got {name} = {h}")
+
+
 @dataclass(frozen=True)
 class LatticeField:
     """Complex samples on the (t, x, theta) grid, with spacings and masses."""
@@ -133,8 +140,7 @@ class LatticeField:
             raise ValueError("values must be (t, x, theta)")
         if min(self.values.shape) < 5:
             raise ValueError("grid sizes must be >= 5 for the stencils")
-        if min(self.dt, self.dx, self.dtheta) <= 0:
-            raise ValueError("spacings must be positive")
+        _require_spacings(dt=self.dt, dx=self.dx, dtheta=self.dtheta)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -241,17 +247,22 @@ def _symbol_axes(shape, *spacings: float):
                  for n, h in zip(shape, spacings))
 
 
+def _symbol_slice(w2, kx: np.ndarray, kq: np.ndarray, lam: float, m: float) -> np.ndarray:
+    """w^2 - kx^2 - lam^2 kq^2 - m^2 on the (x, theta) grid; w2 may be an (nt, 1, 1) column."""
+    return w2 - kx.reshape(-1, 1) - lam**2 * kq - m**2
+
+
 def kg_symbol(
     shape: tuple[int, int, int], dt: float, dx: float, dtheta: float, lam: float, m: float
 ) -> np.ndarray:
     """Fourier symbol of the periodic wave operator on this grid.
 
-    Equal to 1/G(K) at the effective lattice momenta
-    (2/h) sin(pi j / n) per axis.
+    Equal to 1/G(K) at the effective lattice momenta (2/h) sin(pi j / n)
+    per axis; greens_solve, evolve_leapfrog and discrete_mode_initial
+    evaluate the same _symbol_slice.
     """
-    nt, nx, nq = shape
     wt, kx, kq = _symbol_axes(shape, dt, dx, dtheta)
-    return wt.reshape(nt, 1, 1) - kx.reshape(1, nx, 1) - lam**2 * kq.reshape(1, 1, nq) - m**2
+    return _symbol_slice(wt.reshape(-1, 1, 1), kx, kq, lam, m)
 
 
 def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
@@ -263,8 +274,6 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     trigger an ill-conditioning warning carrying the condition number.
     """
     wt, kx, kq = _symbol_axes(src.values.shape, src.dt, src.dx, src.dtheta)
-    kx = kx.reshape(-1, 1)
-    lkq = src.lam**2 * kq
     # plane waves here are exp(+i w t) (the inverse-FFT convention), so the
     # retarded prescription moves the poles to w = +-omega + i eps, i.e.
     # symbol(w - i eps) ~ symbol - 2 i eps w; the signed frequency keeps both
@@ -277,7 +286,7 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     phi = np.fft.fftn(src.values, out=np.empty(src.shape, dtype=complex))
     min_abs, scale = float("inf"), 0.0
     for t, phi_t in enumerate(phi):
-        symbol = wt[t] - kx - lkq - src.m**2
+        symbol = _symbol_slice(wt[t], kx, kq, src.lam, src.m)
         abs_symbol = np.abs(symbol)
         min_abs = min(min_abs, float(abs_symbol.min()))
         scale = max(scale, float(abs_symbol.max()))
@@ -328,28 +337,6 @@ def plane_wave_mode(
     return LatticeField(values, dt, dx, dtheta, lam, m)
 
 
-def lattice_mode_frequency(
-    k: float, kappa: float, dt: float, dx: float, dtheta: float, lam: float, m: float
-) -> float:
-    """Exact phase advance per unit time of a leapfrog plane-wave branch.
-
-    A mode exp(i(k x + kappa theta)) evolved by the explicit stepper rotates
-    by exp(-i w dt) per step with cos(w dt) = 1 - dt^2 w_h^2 / 2, where w_h
-    is the spatially-discrete frequency.  Initializing phidot with this
-    frequency (through discrete_mode_initial) launches a single branch, so
-    all quadratic charges are constant to rounding error.
-    """
-    wh2 = (
-        (2.0 / dx * np.sin(0.5 * k * dx)) ** 2
-        + lam**2 * (2.0 / dtheta * np.sin(0.5 * kappa * dtheta)) ** 2
-        + m**2
-    )
-    c = 1.0 - 0.5 * dt**2 * wh2
-    if c < -1.0:
-        raise ValueError("mode is unstable at this dt")
-    return float(np.arccos(c) / dt)
-
-
 def discrete_mode_initial(
     shape_xq: tuple[int, int],
     dt: float,
@@ -361,11 +348,23 @@ def discrete_mode_initial(
     n_theta: int = 1,
     amplitude: complex = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(phi0, phidot0, w) launching a pure leapfrog plane-wave branch."""
+    """(phi0, phidot0, w) launching a pure leapfrog plane-wave branch.
+
+    evolve_leapfrog rotates the mode exp(i(k x + kappa theta)) by
+    exp(-i w dt) per step, with cos(w dt) = 1 + dt^2 s / 2 and s the mode's
+    entry of _symbol_slice at w = 0.  Initializing phidot with this
+    frequency launches a single branch, so all quadratic charges are
+    constant to rounding error.
+    """
+    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
     nx, nq = shape_xq
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
-    w = lattice_mode_frequency(k, kappa, dt, dx, dtheta, lam, m)
+    s = _symbol_slice(0.0, *_symbol_axes(shape_xq, dx, dtheta), lam, m)
+    c = 1.0 + 0.5 * dt**2 * s[n_x % nx, n_theta % nq]
+    if c < -1.0:
+        raise ValueError("mode is unstable at this dt")
+    w = float(np.arccos(c) / dt)
     x = dx * np.arange(nx).reshape(nx, 1)
     q = dtheta * np.arange(nq).reshape(1, nq)
     phi0 = amplitude * np.exp(1j * (k * x + kappa * q))
@@ -452,18 +451,20 @@ def evolve_leapfrog(
       phi_{n+1} = 2 phi_n - phi_{n-1} + dt^2 L phi_n,
     with L = lap_x + lam^2 lap_theta - m^2 from periodic 3-point stencils.
     It is stepped in the lattice's Fourier basis, where L is the diagonal
-    symbol s = -kx^2 - lam^2 kq^2 - m^2 of greens_solve (_symbol_axes), so a
+    symbol s = -kx^2 - lam^2 kq^2 - m^2 (_symbol_slice at w = 0), so a
     step is phi_{n+1} = (2 + dt^2 s) phi_n - phi_{n-1} mode by mode and
     agrees with the stencil recurrence up to rounding.  Slices return to
     real space only for the recorded charges and the two returned slices.
 
     Returns the last two field slices and the recorded charge series
     [(step, t, charges)].  Raises ValueError unless phi and phidot are
-    finite (x, theta) arrays of one shape, when steps < 1 or when dt
-    exceeds the stability bound.
+    finite (x, theta) arrays of one shape, when steps < 1, when dt, dx or
+    dtheta is not finite and positive, or when dt exceeds the stability
+    bound.
     """
     if steps < 1:
         raise ValueError(f"steps = {steps} must be >= 1")
+    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
     if dt > max_stable_dt(dx, dtheta, lam, m):
         raise ValueError(
             f"dt = {dt} exceeds the stability bound "
@@ -478,8 +479,7 @@ def evolve_leapfrog(
     if not (np.isfinite(phi).all() and np.isfinite(phidot).all()):
         raise ValueError("phi and phidot must be finite")
     nx, nq = phi.shape
-    kx, kq = _symbol_axes((nx, nq), dx, dtheta)
-    s = -kx.reshape(nx, 1) - lam**2 * kq - m**2
+    s = _symbol_slice(0.0, *_symbol_axes((nx, nq), dx, dtheta), lam, m)
     prev = np.fft.fft2(phi, out=np.empty((nx, nq), dtype=complex))
     cur = np.fft.fft2(phidot, out=np.empty((nx, nq), dtype=complex))
     cur *= dt

@@ -4,11 +4,13 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +57,7 @@ def test_exit_two_on_unknown_parameter(capsys):
 
 def test_exit_two_on_bad_value(capsys):
     assert main(["run", "--suite", "algebra", "--set", "D=two"]) == 2
+    assert capsys.readouterr().err == "error: parameter D needs an int\n"
 
 
 @pytest.mark.parametrize("pair", ["Lambda=nan", "m=inf", "lambda=-inf", "omega=0",
@@ -263,6 +266,25 @@ def test_symbol_record_fails_a_symbol_linear_in_lambda_at_the_defaults(monkeypat
     assert record["status"] == "fail"
 
 
+def test_one_symbol_assembly_reaches_the_solve_the_leapfrog_and_the_symbol_record(monkeypatch):
+    # a symbol linear in lambda, planted in the one assembly, shows in all three
+    rng = np.random.default_rng(3)
+    phi = rng.standard_normal((8, 6)) + 1j * rng.standard_normal((8, 6))
+    args = (phi, np.zeros_like(phi), 5, 0.05, 0.3, 0.4, 2.0, 1.0)
+    _, before, _ = field.evolve_leapfrog(*args)
+    monkeypatch.setattr(field, "_symbol_slice",
+                        lambda w2, kx, kq, lam, m: w2 - kx.reshape(-1, 1) - lam * kq - m**2)
+    _, after, _ = field.evolve_leapfrog(*args)
+    assert not np.allclose(after, before)
+
+    def status(sets):
+        return {c["name"]: c["status"] for c in run_suite("field", parse_params(sets))["checks"]}
+
+    # the stencil oracle keeps lambda^2; at lambda = 1 the two agree
+    assert status(["lambda=2"])["greens-residual"] == "fail"
+    assert status([])["symbol-matches-propagator"] == "fail"
+
+
 @pytest.mark.parametrize("sets", [[], ["steps=5000", "nx=256", "ntheta=128"]],
                          ids=["defaults", "5000-steps-256x128"])
 def test_charge_drift_stays_at_rounding_level(sets):
@@ -446,6 +468,35 @@ def test_atomic_report_write(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["suite"] == "algebra"
     assert not list(tmp_path.glob(".report-*"))
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "a-directory"])
+def test_unwritable_report_path_exits_two_with_one_error_line(target, tmp_path, capsys):
+    # exit 1 means a check failed; a report that cannot be written is a usage error
+    (tmp_path / "a-directory").mkdir()
+    code = main(["run", "--suite", "algebra", "--set", "D=2",
+                 "--format", "json", "--out", str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write the report to ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+
+
+def test_report_file_gets_the_mode_a_plain_open_gives(tmp_path):
+    # mkstemp creates 0o600; open(path, "w") gives 0o666 less the umask to a
+    # new file and leaves an existing file's mode alone
+    new, existing = tmp_path / "new.json", tmp_path / "existing.json"
+    existing.write_text("")
+    existing.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for out in (new, existing):
+            assert main(["run", "--suite", "algebra", "--set", "D=2",
+                         "--format", "json", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(existing.stat().st_mode) == 0o640
 
 
 @pytest.mark.parametrize(

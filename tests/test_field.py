@@ -1,6 +1,7 @@
 """Lattice scalar field, Green's functions, charges, Moyal product."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from dfra.field import (
     SourceTerm,
     TachyonicModeError,
     charges_to_csv,
+    discrete_mode_initial,
     dispersion,
     evolve_leapfrog,
     fit_frequency,
@@ -364,6 +366,69 @@ def test_evolution_rejects_fewer_than_one_step():
                 np.zeros((8, 8)), np.zeros((8, 8)), steps,
                 dt=dt, dx=0.1, dtheta=0.1, lam=1.0, m=1.0,
             )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 0.0])
+@pytest.mark.parametrize("name", ["dt", "dx", "dtheta"])
+@pytest.mark.parametrize("call", [
+    lambda h: LatticeField(np.zeros((5, 5, 5)), h["dt"], h["dx"], h["dtheta"], 1.0, 1.0),
+    lambda h: evolve_leapfrog(np.zeros((8, 6)), np.zeros((8, 6)), 3, **h, lam=1.0, m=1.0),
+    lambda h: discrete_mode_initial((8, 6), **h, lam=1.0, m=1.0),
+], ids=["LatticeField", "evolve_leapfrog", "discrete_mode_initial"])
+def test_spacings_and_dt_must_be_finite_and_positive(call, name, bad):
+    # min() drops a NaN, and a negative dt passes the stability bound
+    spacings = {"dt": 0.01, "dx": 0.1, "dtheta": 0.1, name: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{name} = {bad}")):
+        call(spacings)
+
+
+def _lattice_mode_frequency(k, kappa, dt, dx, dtheta, lam, m):
+    # the leapfrog branch frequency from sin(k h / 2) at the mode's own
+    # momenta, independent of the symbol's axis factors
+    wh2 = (
+        (2.0 / dx * np.sin(0.5 * k * dx)) ** 2
+        + lam**2 * (2.0 / dtheta * np.sin(0.5 * kappa * dtheta)) ** 2
+        + m**2
+    )
+    return float(np.arccos(1.0 - 0.5 * dt**2 * wh2) / dt)
+
+
+def _mode_frequencies(nx, nq, dx, dtheta, lam, m, modes):
+    """(w of discrete_mode_initial, w of the momenta formula) per mode."""
+    dt = 0.5 * max_stable_dt(dx, dtheta, lam, m)
+    for n_x, n_theta in modes:
+        w = discrete_mode_initial((nx, nq), dt, dx, dtheta, lam, m, n_x, n_theta)[2]
+        k = 2.0 * np.pi * n_x / (nx * dx)
+        kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
+        yield w, _lattice_mode_frequency(k, kappa, dt, dx, dtheta, lam, m)
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1.0), (2.0, 0.5), (0.7, 0.0)])
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_mode_frequency_is_exact_on_power_of_two_periodic_grids(n, lam, m):
+    # with h = 2 pi / N and N a power of two, 0.5 k h equals pi n / N bit
+    # for bit, so the symbol's entry is the momenta formula's sum
+    nq = n // 2
+    modes = [(a, b) for a in range(n) for b in range(nq)]
+    for w, ref in _mode_frequencies(n, nq, 2 * np.pi / n, 2 * np.pi / nq, lam, m, modes):
+        assert w == ref
+
+
+@pytest.mark.parametrize("lam, m", [(1.0, 1.0), (2.0, 0.5), (0.7, 0.0)])
+@pytest.mark.parametrize("nx, nq, dx, dtheta", [
+    (32, 16, 2 * np.pi / 32, 2 * np.pi / 16),
+    (31, 17, 0.3, 0.45),
+    (24, 10, 0.2, 0.25),
+    (33, 12, 2 * np.pi / 33, 2 * np.pi / 12),
+], ids=["2pi-over-N-power-of-two", "odd", "even", "2pi-over-N-odd"])
+def test_mode_frequency_matches_the_momenta_formula(nx, nq, dx, dtheta, lam, m):
+    # negative and aliased modes (n >= N) read the entry n % N
+    modes = [(1, 1), (3, 2), (nx // 2, nq - 1), (-2, 1),
+             (nx + 2, 2 * nq + 1), (5 * nx - 1, -3 * nq + 2)]
+    for w, ref in _mode_frequencies(nx, nq, dx, dtheta, lam, m, modes):
+        # 0.5 k h and pi j / N may round apart here, and arccos magnifies a
+        # last-bit change of cos(w dt) by 1 / sin(w dt)
+        assert w == pytest.approx(ref, rel=1e-13)
 
 
 def test_plane_wave_charge_values():
