@@ -329,8 +329,8 @@ def quantum_conditions(theta: np.ndarray, planck_length: float) -> tuple[float, 
     eps_{0123} = +1.  Both vanish iff the conditions hold.
     """
     theta = antisymmetric(theta, "theta")
-    if planck_length <= 0:
-        raise ValueError("planck_length must be positive")
+    if not 0.0 < planck_length < np.inf:  # False for NaN too
+        raise ValueError(f"planck_length must be finite and positive, got {planck_length}")
     first = pair_dot(theta, theta)
     dual_lower = 0.5 * np.einsum("mnrs,rs->mn", _levi4(), theta)
     pseudo = 0.25 * float(np.einsum("mn,mn->", dual_lower, theta))

@@ -738,16 +738,17 @@ def _atomic_write(path: str, text: str) -> None:
     """Write text to path through a temporary file and a rename.
 
     The file gets the mode open(path, "w") would give it: an existing file's
-    own, or 0o666 less the umask (mkstemp alone makes 0o600).
+    own, or 0o666 less the umask (mkstemp alone makes 0o600).  A symlink at
+    path is written through, as open() does: its target gets the report.
     """
+    path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".report-")
     try:
         os.fchmod(fd, mode)
         with os.fdopen(fd, "w") as fh:

@@ -25,6 +25,7 @@ variance, not the full contraction.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -352,13 +353,7 @@ def _usable_cpus() -> int:
 def _hermite_tensor(f, M: int, lo: float, nodes: int) -> float:
     # substitute theta_c = u_c / sqrt(lo):  int W f = pi^{-M/2} int e^{-u.u} f
     x, w = np.polynomial.hermite.hermgauss(nodes)
-    scale = 1.0 / math.sqrt(lo)
-    grids = np.meshgrid(*([x] * M), indexing="ij")
-    theta = np.stack([g * scale for g in grids], axis=-1)
-    weights = np.ones_like(grids[0])
-    for axis in range(M):
-        shape = [1] * M
-        shape[axis] = nodes
-        weights = weights * w.reshape(shape)
+    theta = np.stack(np.meshgrid(*[x * (1.0 / math.sqrt(lo))] * M, indexing="ij"), axis=-1)
+    weights = functools.reduce(np.multiply.outer, [w] * M)
     vals = np.asarray(f(theta), dtype=float)
     return float((weights * vals).sum() / math.pi ** (M / 2.0))

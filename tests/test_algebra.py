@@ -346,6 +346,13 @@ def test_quantum_conditions_scaling():
     assert r1b == pytest.approx(4.0 * r1a)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_quantum_conditions_rejects_a_planck_length_not_finite_and_positive(bad):
+    # NaN and inf passed a bare "<= 0" test and came back as (0.0, nan) and (0.0, -inf)
+    with pytest.raises(ValueError, match="planck_length"):
+        algebra.quantum_conditions(np.zeros((4, 4)), bad)
+
+
 def test_quantum_conditions_rejects_nonantisymmetric():
     with pytest.raises(ValueError):
         algebra.quantum_conditions(np.eye(4), 1.0)

@@ -470,6 +470,20 @@ def test_atomic_report_write(tmp_path):
     assert not list(tmp_path.glob(".report-*"))
 
 
+def test_atomic_report_write_goes_through_a_symlink(tmp_path):
+    # as open(path, "w") would: the link stays a link and its target gets the report
+    (tmp_path / "target").mkdir()
+    target = tmp_path / "target" / "report.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["run", "--suite", "algebra", "--set", "D=2",
+                 "--format", "json", "--out", str(link)]) == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert json.loads(target.read_text())["suite"] == "algebra"
+    assert not list(tmp_path.rglob(".report-*"))
+
+
 @pytest.mark.parametrize("target", ["missing-dir/report.json", "a-directory"])
 def test_unwritable_report_path_exits_two_with_one_error_line(target, tmp_path, capsys):
     # exit 1 means a check failed; a report that cannot be written is a usage error

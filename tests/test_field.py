@@ -368,13 +368,31 @@ def test_evolution_rejects_fewer_than_one_step():
             )
 
 
+# each entry point with the spacings it takes
+_SPACING_CALLS = {
+    "LatticeField": (
+        lambda h: LatticeField(np.zeros((5, 5, 5)), h["dt"], h["dx"], h["dtheta"], 1.0, 1.0),
+        ("dt", "dx", "dtheta")),
+    "evolve_leapfrog": (
+        lambda h: evolve_leapfrog(np.zeros((8, 6)), np.zeros((8, 6)), 3, **h, lam=1.0, m=1.0),
+        ("dt", "dx", "dtheta")),
+    "discrete_mode_initial": (
+        lambda h: discrete_mode_initial((8, 6), **h, lam=1.0, m=1.0),
+        ("dt", "dx", "dtheta")),
+    "kg_symbol": (
+        lambda h: kg_symbol((8, 8, 8), **h, lam=1.0, m=1.0),
+        ("dt", "dx", "dtheta")),
+    "max_stable_dt": (
+        lambda h: max_stable_dt(h["dx"], h["dtheta"], 1.0, 1.0),
+        ("dx", "dtheta")),
+}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 0.0])
-@pytest.mark.parametrize("name", ["dt", "dx", "dtheta"])
-@pytest.mark.parametrize("call", [
-    lambda h: LatticeField(np.zeros((5, 5, 5)), h["dt"], h["dx"], h["dtheta"], 1.0, 1.0),
-    lambda h: evolve_leapfrog(np.zeros((8, 6)), np.zeros((8, 6)), 3, **h, lam=1.0, m=1.0),
-    lambda h: discrete_mode_initial((8, 6), **h, lam=1.0, m=1.0),
-], ids=["LatticeField", "evolve_leapfrog", "discrete_mode_initial"])
+@pytest.mark.parametrize("call, name", [
+    pytest.param(call, name, id=f"{label}-{name}")
+    for label, (call, names) in _SPACING_CALLS.items() for name in names
+])
 def test_spacings_and_dt_must_be_finite_and_positive(call, name, bad):
     # min() drops a NaN, and a negative dt passes the stability bound
     spacings = {"dt": 0.01, "dx": 0.1, "dtheta": 0.1, name: bad}

@@ -10,12 +10,18 @@ numpy's complex / real divides as a product with the reciprocal, which the
 kernels write out; that can flip only the sign of an exact zero, so arrays
 are compared with IEEE equality (-0.0 == 0.0).
 
+kg_apply's stencil is now that formula itself, with one shared 2c and its
+terms summed into one array.  reference_kg_apply stays as its pin: a rewrite
+that changes the rounding order, say by folding lam^2 / dtheta^2 into one
+constant, fails the exact comparison.
+
 The leapfrog is the one exception: it steps the same linear recurrence in
 the lattice's Fourier basis, so it agrees with the roll stepper only up to
 rounding, and is compared within a bound stated in its tests.
 """
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +245,23 @@ def test_slab_residual_rejects_mismatched_grids():
     phi = LatticeField(_complex_grid(rng, (6, 6, 6)), 0.1, 0.1, 0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         field.kg_residual_max(phi, _source(rng, (6, 6, 7), 1.0, 1.0))
+
+
+def test_slab_bounds_the_residual_memory(monkeypatch):
+    # one 62 x 62 time slice per slab; the full-grid
+    # np.abs(kg_apply(f) - J).max() traces about 7 MB on this grid
+    monkeypatch.setattr(field, "_SLAB_CELLS", 4096)
+    rng = np.random.default_rng(10)
+    shape = (40, 64, 64)
+    src = _source(rng, shape, 1.0, 1.0)
+    phi = LatticeField(_complex_grid(rng, shape), 0.1, 0.1, 0.1, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        field.kg_residual_max(phi, src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 4096 * 16
 
 
 def test_kg_apply_at_equals_kg_apply_at_every_interior_point():
