@@ -5,7 +5,7 @@
 
 Each suite re-drives the library's own operations and yields one
 (name, reference tag, residual, tolerance) per check as soon as it has
-computed it.  `_timed` turns what a suite yields into records (name,
+computed it.  `_run` turns what a suite yields into records (name,
 reference tag, pass/fail, residual, tolerance, runtime); no suite reads the
 clock, so every runtime is measured the same way.  The reference tags
 resolve through the REFERENCES registry below, mapping each check to the
@@ -27,15 +27,11 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
-# numpy loads it on first use; importing it here keeps that load out of the
-# runtime of the first record that uses it
-import numpy.random
 
 from . import __version__, algebra, clifford, constraints, field, oscillator, reps
 from .symcore import (
@@ -85,45 +81,6 @@ REFERENCES = {
     "moyal-product": "star-product commutator and associativity",
     "plumbing": "artifact-internal consistency",
 }
-
-
-@dataclass
-class CheckResult:
-    name: str
-    paper_ref: str
-    status: str
-    residual: float
-    tolerance: float
-    runtime: float
-
-    @staticmethod
-    def build(name, ref, residual, tolerance, started) -> "CheckResult":
-        if ref not in REFERENCES:
-            raise ValueError(f"unregistered reference tag {ref!r}")
-        ok = math.isfinite(residual) and math.isfinite(tolerance) and residual <= tolerance
-        return CheckResult(
-            name=name,
-            paper_ref=ref,
-            status="pass" if ok else "fail",
-            residual=float(residual),
-            tolerance=float(tolerance),
-            runtime=round(time.perf_counter() - started, 6),
-        )
-
-
-def _timed(checks) -> list[CheckResult]:
-    """Records of the (name, ref, residual, tolerance) tuples a suite yields.
-
-    A record's runtime runs from the end of the previous record, or from the
-    start of the suite for the first one, so a suite's setup counts toward
-    its first record.
-    """
-    results = []
-    started = time.perf_counter()
-    for name, ref, residual, tolerance in checks:
-        results.append(CheckResult.build(name, ref, residual, tolerance, started))
-        started = time.perf_counter()
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +624,12 @@ SUITES = {
 }
 
 
-def _run(name: str, params: dict, **options) -> list[CheckResult]:
-    """The records of one suite.
+def _run(name: str, params: dict, **options) -> list[dict]:
+    """The records of one suite, one per (name, ref, residual, tolerance) it yields.
+
+    A check passes when its residual is finite and within a finite tolerance.
+    A record's runtime runs from the end of the previous record (from the
+    start of the suite for the first, so setup counts toward it).
 
     Parameters inside their domains can still take a suite's floating-point
     arithmetic out of range (Omega = 1e300 overflows Omega^2); that is a
@@ -676,16 +637,27 @@ def _run(name: str, params: dict, **options) -> list[CheckResult]:
     by zero raise FloatingPointError here, so they end like Python's own
     arithmetic errors instead of warning.
     """
+    records = []
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return _timed(SUITES[name](params, **options))
+            started = time.perf_counter()
+            for check, ref, residual, tolerance in SUITES[name](params, **options):
+                if ref not in REFERENCES:
+                    raise ValueError(f"unregistered reference tag {ref!r}")
+                ok = math.isfinite(residual) and math.isfinite(tolerance) and residual <= tolerance
+                records.append({"name": check, "paper_ref": ref,
+                                "status": "pass" if ok else "fail",
+                                "residual": float(residual), "tolerance": float(tolerance),
+                                "runtime": round(time.perf_counter() - started, 6)})
+                started = time.perf_counter()
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise UsageError(f"the {name} suite overflows or underflows at these parameters "
                          f"({type(exc).__name__}: {exc})") from None
+    return records
 
 
 def run_suite(suite: str, params: dict) -> dict:
-    checks: list[CheckResult] = []
+    checks = []
     if suite == "all":
         # the D-independent algebra checks run once, with D = 2
         for D in (2, 3, 4):
@@ -696,7 +668,7 @@ def run_suite(suite: str, params: dict) -> dict:
         checks += _run(suite, params)
     else:
         raise UsageError(f"unknown suite {suite!r}")
-    passed = sum(c.status == "pass" for c in checks)
+    passed = sum(c["status"] == "pass" for c in checks)
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
@@ -704,7 +676,7 @@ def run_suite(suite: str, params: dict) -> dict:
         "seed": params["seed"],
         "params": {k: params[k] for k in sorted(params)},
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "checks": [asdict(c) for c in checks],
+        "checks": checks,
         "summary": {"total": len(checks), "passed": passed,
                     "failed": len(checks) - passed},
     }

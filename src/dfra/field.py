@@ -200,29 +200,25 @@ def kg_apply_at(f: LatticeField, it: int, ix: int, iq: int) -> complex:
     return complex(_kg_interior(block, f)[0, 0, 0])
 
 
-# cells per slab of kg_residual_max.  The slab, not the grid, sets its memory:
-# the traced peak (tracemalloc) is about four slab-sized complex arrays, 16.5 MB
-# at 96 x 256 x 128 (8 time slices a slab)
-_SLAB_CELLS = 1 << 18
-
-
 def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
     """max |(Box + lam^2 Box_theta - m^2) phi - J| over the interior.
 
     Equal to np.abs(kg_apply(f) - J_interior).max(), NaN included, but
-    evaluated a few time slices at a time, so no full-grid temporary is made.
+    evaluated one time slice at a time, so no full-grid temporary is made.
+    Raises ValueError unless f and src share the grid, spacings, lam and m.
     """
     if src.shape != f.shape:
         raise ValueError("field and source must share the grid")
-    nt, nx, nq = f.shape
-    rows = max(1, _SLAB_CELLS // (nx * nq))
-    slab_max = []
-    for t0 in range(0, nt - 2, rows):
-        t1 = min(t0 + rows, nt - 2)
-        r = _kg_interior(f.values[t0:t1 + 2], f)
-        r -= src.values[t0 + 1:t1 + 1, 1:-1, 1:-1]
-        slab_max.append(np.abs(r).max())
-    return float(np.max(slab_max))
+    lattice = lambda g: (g.dt, g.dx, g.dtheta, g.lam, g.m)
+    if lattice(src) != lattice(f):
+        raise ValueError(f"field (dt, dx, dtheta, lam, m) = {lattice(f)} differs "
+                         f"from the source's {lattice(src)}")
+    slice_max = []
+    for t in range(1, f.shape[0] - 1):
+        r = _kg_interior(f.values[t - 1:t + 2], f)
+        r -= src.values[t:t + 1, 1:-1, 1:-1]
+        slice_max.append(np.abs(r).max())
+    return float(np.max(slice_max))
 
 
 def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
@@ -318,6 +314,7 @@ def plane_wave_mode(
     modes); omega comes from the continuum dispersion with the reduced
     coupling exp(i kappa theta) <-> K2_{12} = kappa.
     """
+    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
     nt, nx, nq = shape
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
@@ -402,6 +399,7 @@ def noether_charges(
     carries (lam^2/2) d^{mu nu} phi* d_{mu nu} phi, i.e. lam^2 per
     independent pair.
     """
+    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
     phi0 = np.asarray(phi0, dtype=complex)
     phi1 = np.asarray(phi1, dtype=complex)
     if phi0.shape != phi1.shape or phi0.ndim != 2:
@@ -502,6 +500,7 @@ def evolve_leapfrog(
 
 def fit_frequency(samples: np.ndarray, dt: float) -> float:
     """Frequency of a complex oscillation by linear phase fit."""
+    _require_spacings(dt=dt)
     phase = np.unwrap(np.angle(np.asarray(samples)))
     t = dt * np.arange(len(phase))
     slope = np.polyfit(t, phase, 1)[0]

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from dfra.cli import (
     PARAMS,
     REFERENCES,
     REPORT_SCHEMA,
-    CheckResult,
     UsageError,
     _bisect,
     _report_json,
@@ -70,9 +70,34 @@ def test_exit_two_on_nonfinite_or_nonpositive_value(pair, capsys):
         parse_params([pair])
 
 
-def test_nan_never_passes_a_check():
-    for residual, tolerance in ((math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf)):
-        assert CheckResult.build("x", "plumbing", residual, tolerance, 0.0).status == "fail"
+def test_nan_never_passes_a_check(monkeypatch):
+    pairs = ((math.nan, 1.0), (0.0, math.nan), (math.inf, math.inf))
+    monkeypatch.setitem(cli.SUITES, "stub", lambda p: (
+        (f"x{i}", "plumbing", residual, tolerance) for i, (residual, tolerance) in enumerate(pairs)))
+    records = cli._run("stub", {})
+    assert [c["status"] for c in records] == ["fail"] * len(pairs)
+
+
+def test_unregistered_reference_tag_is_an_error(monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "stub", lambda p: iter([("x", "no-such-tag", 0.0, 1.0)]))
+    with pytest.raises(ValueError, match="unregistered reference tag 'no-such-tag'"):
+        cli._run("stub", {})
+
+
+# one text line per record; names can hold spaces ("moment-theta2-D2 = 0.5")
+_TEXT_RECORD = re.compile(r"^\[(PASS|FAIL)\] (.+?) +ref=")
+
+
+def test_text_report_has_one_line_per_json_record(capsys):
+    main(["run", "--suite", "clifford", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    main(["run", "--suite", "clifford"])
+    lines = capsys.readouterr().out.splitlines()
+    records = [m.groups() for m in map(_TEXT_RECORD.match, lines) if m]
+    assert records == [(c["status"].upper(), c["name"]) for c in report["checks"]]
+    assert len(lines) == len(records) + 2  # the header and the summary
+    s = report["summary"]
+    assert lines[-1] == f"{s['passed']}/{s['total']} checks passed"
 
 
 def test_nan_lambda_fails_every_oscillator_check_that_reads_it():
@@ -442,7 +467,8 @@ def test_report_records_resolve_references():
     for check in report["checks"]:
         assert check["paper_ref"] in REFERENCES
         assert check["status"] in ("pass", "fail")
-        assert {"name", "residual", "tolerance", "runtime"} <= set(check)
+        assert set(check) == {"name", "paper_ref", "status", "residual", "tolerance",
+                              "runtime"}
 
 
 def test_report_determinism_modulo_time_fields():

@@ -385,6 +385,15 @@ _SPACING_CALLS = {
     "max_stable_dt": (
         lambda h: max_stable_dt(h["dx"], h["dtheta"], 1.0, 1.0),
         ("dx", "dtheta")),
+    "plane_wave_mode": (
+        lambda h: plane_wave_mode((8, 8, 8), **h, lam=1.0, m=1.0),
+        ("dt", "dx", "dtheta")),
+    "noether_charges": (
+        lambda h: noether_charges(np.ones((8, 6)), np.ones((8, 6)), **h, lam=1.0, m=1.0),
+        ("dt", "dx", "dtheta")),
+    "fit_frequency": (
+        lambda h: fit_frequency(np.exp(-1j * np.arange(8)), h["dt"]),
+        ("dt",)),
 }
 
 

@@ -4,7 +4,7 @@ The references below are the straightforward formulas: the np.roll leapfrog
 stepper, the full-grid Green's solve with one complex regularized symbol,
 the three-derivative stencil of kg_apply, and the serial Monte Carlo fold.
 The Green's solve, the stencils and the Monte Carlo fold reorganize memory
-(preallocated buffers, time slices, slabs, worker threads) but keep each
+(preallocated buffers, time slices, worker threads) but keep each
 floating-point operation and its order, so those comparisons are exact.
 numpy's complex / real divides as a product with the reciprocal, which the
 kernels write out; that can flip only the sign of an exact zero, so arrays
@@ -212,26 +212,19 @@ def test_greens_solve_leaves_the_source_unchanged():
     assert not np.shares_memory(phi.values, src.values)
 
 
-@given(shape=_GRIDS, slab_cells=st.sampled_from([1, 40, 10**6]),
-       seed=st.integers(0, 2**16))
+@given(shape=_GRIDS, seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_kg_apply_and_slab_residual_equal_full_grid_stencil(shape, slab_cells, seed):
+def test_kg_apply_and_slab_residual_equal_full_grid_stencil(shape, seed):
     rng = np.random.default_rng(seed)
     src = _source(rng, shape, 0.7, 1.0)
     phi = LatticeField(_complex_grid(rng, shape), 0.11, 0.37, 0.41, 0.7, 1.0)
     ref = reference_kg_apply(phi)
     assert np.array_equal(field.kg_apply(phi), ref)
-    old = field._SLAB_CELLS
-    field._SLAB_CELLS = slab_cells  # one time slice up to the whole grid per slab
-    try:
-        resid = field.kg_residual_max(phi, src)
-    finally:
-        field._SLAB_CELLS = old
+    resid = field.kg_residual_max(phi, src)
     assert resid == np.abs(ref - src.values[1:-1, 1:-1, 1:-1]).max()
 
 
-def test_slab_residual_propagates_nan(monkeypatch):
-    monkeypatch.setattr(field, "_SLAB_CELLS", 1)
+def test_slab_residual_propagates_nan():
     rng = np.random.default_rng(7)
     src = _source(rng, (9, 6, 5), 0.7, 1.0)
     values = _complex_grid(rng, (9, 6, 5))
@@ -247,14 +240,25 @@ def test_slab_residual_rejects_mismatched_grids():
         field.kg_residual_max(phi, _source(rng, (6, 6, 7), 1.0, 1.0))
 
 
-def test_slab_bounds_the_residual_memory(monkeypatch):
-    # one 62 x 62 time slice per slab; the full-grid
+@pytest.mark.parametrize("other", [
+    {"dt": 0.2}, {"dx": 0.3}, {"dtheta": 0.4}, {"lam": 5.0}, {"m": 2.0},
+], ids=lambda other: next(iter(other)))
+def test_slab_residual_rejects_a_source_on_another_lattice(other):
+    rng = np.random.default_rng(11)
+    src = _source(rng, (8, 8, 8), 1.0, 1.0)
+    lattice = {"dt": 0.11, "dx": 0.37, "dtheta": 0.41, "lam": 1.0, "m": 1.0, **other}
+    phi = LatticeField(_complex_grid(rng, (8, 8, 8)), **lattice)
+    with pytest.raises(ValueError, match="differs from the source"):
+        field.kg_residual_max(phi, src)
+
+
+def test_slab_bounds_the_residual_memory():
+    # one 62 x 62 time slice at a time; the full-grid
     # np.abs(kg_apply(f) - J).max() traces about 7 MB on this grid
-    monkeypatch.setattr(field, "_SLAB_CELLS", 4096)
     rng = np.random.default_rng(10)
     shape = (40, 64, 64)
     src = _source(rng, shape, 1.0, 1.0)
-    phi = LatticeField(_complex_grid(rng, shape), 0.1, 0.1, 0.1, 1.0, 1.0)
+    phi = LatticeField(_complex_grid(rng, shape), 0.11, 0.37, 0.41, 1.0, 1.0)
     tracemalloc.start()
     try:
         field.kg_residual_max(phi, src)
