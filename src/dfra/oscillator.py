@@ -27,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from itertools import combinations
@@ -224,7 +225,16 @@ class MomentEstimate(NamedTuple):
 
 
 def monomial(exponents: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized monomial prod theta_c^{e_c} over the component axis."""
+    """Vectorized monomial prod theta_c^{e_c} over the component axis.
+
+    Exponents must be non-negative ints.  The returned f carries
+    f.components, the number of leading theta components it reads: one more
+    than the last index with a nonzero exponent, and at least 1.
+    moment_oracle's Monte Carlo draws only those components.
+    """
+    if not all(isinstance(e, numbers.Integral) and e >= 0 for e in exponents):
+        raise ValueError(f"monomial exponents must be non-negative ints, got {exponents}")
+    exponents = tuple(exponents)  # f.components must stay true to what f reads
 
     def f(theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -238,6 +248,7 @@ def monomial(exponents: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
                     out *= factor
         return np.ones(theta.shape[:-1]) if out is None else out
 
+    f.components = 1 + max((c for c, e in enumerate(exponents) if e), default=0)
     return f
 
 
@@ -246,18 +257,26 @@ def moment_oracle(
     f: Callable[[np.ndarray], np.ndarray],
     method: str = "quadrature",
     samples: int = 1_000_000,
-    seed: int = 0,
+    seed: int | tuple[int, ...] = 0,
     nodes: int = 24,
 ) -> MomentEstimate:
     """Independent estimate of int W(theta) f(theta) dtheta.
 
     f must be vectorized over a trailing component axis: it maps arrays of
-    shape (..., n_modes) to shape (...).  Quadrature (tensor Gauss-Hermite,
-    exact for polynomials up to degree 2*nodes-1) supports n_modes <= 3;
-    Monte Carlo works in any dimension, in deterministic seeded chunks.
+    shape (..., m) to shape (...), or ValueError is raised.  Quadrature
+    (tensor Gauss-Hermite, exact for polynomials up to degree 2*nodes-1)
+    supports n_modes <= 3 and passes m = n_modes.  Monte Carlo works in any
+    dimension, in deterministic seeded chunks, and passes m = f.components
+    where f has that attribute (as monomial's functions do), else n_modes:
+    it draws only the components f reads.  f.components above n_modes is a
+    ValueError in both methods.  seed is anything numpy.random.SeedSequence
+    takes as entropy: an int or a tuple of ints.
     """
     M = cfg.n_modes
     lo = cfg.Lambda * cfg.Omega
+    reads = getattr(f, "components", M)
+    if not 1 <= reads <= M:
+        raise ValueError(f"f reads {reads} theta components; D = {cfg.D} has {M}")
     if method == "quadrature":
         if M > 3:
             raise QuadratureUnsupportedError(
@@ -278,7 +297,7 @@ def moment_oracle(
         # the calling thread allocates every worker's draw buffer, so that no
         # worker thread's malloc arena keeps one once the thread is done
         rows = min(chunk, samples)
-        buffers = [np.empty((rows, M)) for _ in range(workers)]
+        buffers = [np.empty((rows, reads)) for _ in range(workers)]
         parts = [None] * len(children)  # (k, sum f/2^k, sum (f/2^k)^2) per chunk
         errstate = np.geterr()
 
@@ -299,7 +318,7 @@ def moment_oracle(
                     # sigma * z is what normal(0.0, sigma) computes, bit for bit
                     np.random.default_rng(children[i]).standard_normal(out=theta)
                     theta *= sigma
-                    vals = np.asarray(f(theta), dtype=float)
+                    vals = _values(f, theta)
                     # |f| / 2^k < 1, so the squares cannot overflow; scaling by
                     # a power of two is exact, so the sums are 2^-k times the
                     # raw ones (2^1022 at most: 2^1073 is not a float)
@@ -335,8 +354,9 @@ def moment_oracle(
 
 
 # Monte Carlo draws its chunks on threads only from this many chunks on.
-# Each worker holds its own draw buffer and f's values for its chunk at the
-# same time as the others (8.4 MB at M = 3): threading the 1M samples (4
+# Each worker holds its own draw buffer, rows x the components f reads, and
+# f's values for its chunk at the same time as the others: 8.4 MB at M = 3
+# for an f that reads all three components.  Threading the 1M samples (4
 # chunks) of `dfra run --suite all` on 2 CPUs raised its peak RSS from 51.4 to
 # 61.4 MB.  Below 16 chunks (4.2M samples) sampling takes well under a second
 # on one thread.
@@ -350,10 +370,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _values(f, theta: np.ndarray) -> np.ndarray:
+    """f at theta as floats, which must have shape theta.shape[:-1]."""
+    vals = np.asarray(f(theta), dtype=float)
+    if vals.shape != theta.shape[:-1]:
+        raise ValueError(f"f maps theta of shape {theta.shape} to shape {vals.shape}, "
+                         f"not {theta.shape[:-1]}")
+    return vals
+
+
+@functools.lru_cache(maxsize=8)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, read-only, computed once per node count."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _hermite_tensor(f, M: int, lo: float, nodes: int) -> float:
     # substitute theta_c = u_c / sqrt(lo):  int W f = pi^{-M/2} int e^{-u.u} f
-    x, w = np.polynomial.hermite.hermgauss(nodes)
+    x, w = _hermgauss(nodes)
     theta = np.stack(np.meshgrid(*[x * (1.0 / math.sqrt(lo))] * M, indexing="ij"), axis=-1)
     weights = functools.reduce(np.multiply.outer, [w] * M)
-    vals = np.asarray(f(theta), dtype=float)
+    vals = _values(f, theta)
     return float((weights * vals).sum() / math.pi ** (M / 2.0))

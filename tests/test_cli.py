@@ -357,6 +357,46 @@ def test_monte_carlo_records_fail_a_sampler_biased_by_one_percent(monkeypatch):
         assert residual > tol
 
 
+def test_monte_carlo_records_draw_independent_streams(monkeypatch):
+    from test_numeric_fast_paths import reference_monte_carlo
+
+    real = oscillator.moment_oracle
+    calls = []
+
+    def recorded(cfg, f, method="quadrature", **kwargs):
+        out = real(cfg, f, method, **kwargs)
+        if method == "monte-carlo":
+            calls.append((cfg, f.components, kwargs["seed"], out))
+        return out
+
+    monkeypatch.setattr(oscillator, "moment_oracle", recorded)
+    params = parse_params([])
+    residuals = [residual for name, _, residual, _ in cli.oscillator_suite(params)
+                 if name.startswith("moments-vs-monte-carlo-D")]
+    (cfg2, reads2, seed2, d2), (cfg3, reads3, seed3, _) = calls
+    # D = 3 reads only theta_1, as D = 2 does: the same seed would repeat D = 2's draws
+    assert (cfg2.D, reads2, cfg3.D, reads3) == (2, 1, 3, 1)
+    assert (seed2, seed3) == (params["seed"], (params["seed"], 3))
+    assert residuals[0] != residuals[1]
+    f = oscillator.monomial((2,))
+    assert d2[:2] == reference_monte_carlo(cfg2, f, params["samples"], params["seed"])
+
+
+def test_monte_carlo_d3_record_z_scores_look_standard_normal():
+    # MC_Z's false-alarm rate holds only if each record's z is N(0, 1); the
+    # D = 3 record draws theta_1 with seed (seed, 3), as the test above pins
+    params = parse_params([])
+    cfg = oscillator.OscillatorConfig(D=3)
+    f = oscillator.monomial((2, 0, 0))
+    z = []
+    for seed in range(1, 51):
+        est = oscillator.moment_oracle(cfg, f, "monte-carlo", samples=params["samples"],
+                                       seed=(seed, 3))
+        z.append((est.value - oscillator.moment(cfg, "theta_ij_theta_kl")) / est.error)
+    assert abs(np.mean(z)) <= 0.45
+    assert 0.7 <= np.std(z) <= 1.3
+
+
 def test_runtime_runs_from_the_previous_record(monkeypatch):
     """A delay inside one check is charged to that check, and only once."""
     from dfra import clifford

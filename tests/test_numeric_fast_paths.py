@@ -83,14 +83,15 @@ def reference_leapfrog(phi, phidot, steps, dt, dx, dtheta, lam, m, record_every)
 
 
 def reference_monte_carlo(cfg, f, samples, seed):
-    """(mean, standard error) by the serial chunk loop."""
+    """(mean, standard error) by the serial chunk loop, drawing the components f reads."""
     sigma = 1.0 / math.sqrt(2.0 * cfg.Lambda * cfg.Omega)
     chunk = 262_144
+    reads = getattr(f, "components", cfg.n_modes)
     total = total_sq = 0.0
     done = 0
     for child in np.random.SeedSequence(seed).spawn(max(1, -(-samples // chunk))):
         n = min(chunk, samples - done)
-        theta = np.random.default_rng(child).normal(0.0, sigma, size=(n, cfg.n_modes))
+        theta = np.random.default_rng(child).normal(0.0, sigma, size=(n, reads))
         vals = np.asarray(f(theta), dtype=float)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
@@ -285,13 +286,36 @@ _CHUNK = 262_144
 @pytest.mark.parametrize("samples", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
 def test_monte_carlo_equals_serial_fold_for_any_worker_count(D, samples, monkeypatch):
     cfg = oscillator.OscillatorConfig(D=D, Lambda=1.3, Omega=0.7)
-    f = oscillator.monomial((2,) + (1,) * (cfg.n_modes - 1))
-    mean, stderr = reference_monte_carlo(cfg, f, samples, 17)
+    # one monomial reads every component, the other a marginal: theta_1 at
+    # M = 1 and 3, theta_1 and theta_2 at M = 6
+    marginal = {1: (2,), 3: (2, 0, 0), 6: (1, 2, 0, 0, 0, 0)}[cfg.n_modes]
     monkeypatch.setattr(oscillator, "_MIN_THREADED_CHUNKS", 2)
-    for workers in (1, 3):
-        monkeypatch.setattr(oscillator, "_usable_cpus", lambda w=workers: w)
-        est = oscillator.moment_oracle(cfg, f, "monte-carlo", samples=samples, seed=17)
-        assert est == (mean, stderr, "monte-carlo", samples)
+    for exponents in ((2,) + (1,) * (cfg.n_modes - 1), marginal):
+        f = oscillator.monomial(exponents)
+        mean, stderr = reference_monte_carlo(cfg, f, samples, 17)
+        for workers in (1, 3):
+            monkeypatch.setattr(oscillator, "_usable_cpus", lambda w=workers: w)
+            est = oscillator.moment_oracle(cfg, f, "monte-carlo", samples=samples, seed=17)
+            assert est == (mean, stderr, "monte-carlo", samples)
+
+
+@pytest.mark.parametrize("exponents, marked, columns", [
+    ((2, 0, 0), True, 1), ((0, 1, 0), True, 2), ((0, 0, 0), True, 1), ((1, 0, 2), True, 3),
+    ((2, 0, 0), False, 3),  # a plain callable gets every component
+])
+def test_monte_carlo_hands_f_only_the_components_it_reads(exponents, marked, columns):
+    cfg = oscillator.OscillatorConfig(D=3, Lambda=1.3, Omega=0.7)
+    g = oscillator.monomial(exponents)
+    shapes = []
+
+    def f(theta):
+        shapes.append(theta.shape)
+        return g(theta)
+
+    if marked:
+        f.components = g.components
+    oscillator.moment_oracle(cfg, f, "monte-carlo", samples=_CHUNK + 9, seed=2)
+    assert shapes == [(_CHUNK, columns), (9, columns)]
 
 
 @pytest.mark.parametrize("D", [2, 3], ids=["M1", "M3"])

@@ -275,6 +275,33 @@ def test_monte_carlo_needs_two_samples(samples):
         moment_oracle(CFG2, monomial((2,)), "monte-carlo", samples=samples)
 
 
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+@pytest.mark.parametrize("f", [lambda th: th**2, lambda th: th[..., :1], lambda th: 1.0,
+                               lambda th: th.sum()],
+                         ids=["per-component", "trailing-axis", "scalar", "total"])
+def test_moment_oracle_rejects_values_of_the_wrong_shape(method, f):
+    # th**2 keeps the component axis; broadcast against the weights it would
+    # give 276 +- 220 for <theta^2> = 0.5 at D = 2
+    with pytest.raises(ValueError, match="shape"):
+        moment_oracle(CFG2, f, method, samples=1000)
+
+
+@pytest.mark.parametrize("exponents", [(-1,), (0.5,), (2.0,), (1, -2), ("2",)])
+def test_monomial_rejects_exponents_that_are_not_non_negative_ints(exponents):
+    with pytest.raises(ValueError, match="non-negative ints"):
+        monomial(exponents)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "monte-carlo"])
+def test_moment_oracle_rejects_a_monomial_of_more_components_than_modes(method):
+    cfg = OscillatorConfig(D=3)
+    with pytest.raises(ValueError, match="reads 4 theta components"):
+        moment_oracle(cfg, monomial((0, 0, 0, 2)), method, samples=1000)
+    # trailing zero exponents read nothing
+    assert monomial((0, 2, 0, 0, 0)).components == 2
+    assert moment_oracle(cfg, monomial((0, 2, 0, 0, 0)), method, samples=1000).value > 0
+
+
 # -- x^2 shift -----------------------------------------------------------------
 
 
