@@ -19,17 +19,18 @@ the lattice metadata records that bound.
 
 from __future__ import annotations
 
-import io
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 # numpy loads it on first use; importing it here keeps that load out of the
 # runtime of the first record that uses it
 import numpy.fft
 
+from . import _workers
 from .reps import antisymmetric, minkowski_dot, pair_dot, vec_to_mat
 from .symcore import (
     BracketTable,
@@ -166,6 +167,21 @@ class SourceTerm(LatticeField):
                 raise ValueError("source must vanish on the grid boundary")
 
 
+# The field kernels split their work among the usable CPUs from this many
+# grid cells on (x rows times theta points for the leapfrog); below it they
+# run on the calling thread alone.  suite-all's grids stay below it: 24 x 32 x
+# 16 = 12,288 cells for the Green's solve and 32 x 16 for the leapfrog.
+_MIN_THREADED_CELLS = 2**14
+
+
+def _slabs(n: int, cells: int) -> list[slice]:
+    """range(n) as contiguous slices, one per worker: a single one below _MIN_THREADED_CELLS."""
+    workers = 1
+    if cells >= _MIN_THREADED_CELLS:
+        workers = min(n, _workers.usable_cpus())
+    return [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
+
+
 def _kg_interior(v: np.ndarray, f: LatticeField) -> np.ndarray:
     """(Box + lam^2 Box_theta - m^2) on the interior of the block v.
 
@@ -205,7 +221,10 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
 
     Equal to np.abs(kg_apply(f) - J_interior).max(), NaN included, but
     evaluated one time slice at a time, so no full-grid temporary is made.
-    Raises ValueError unless f and src share the grid, spacings, lam and m.
+    From _MIN_THREADED_CELLS cells on, the interior x rows are split among the
+    usable CPUs and each worker walks every time slice of its own rows, so the
+    workers' temporaries together still make one slice.  Raises ValueError
+    unless f and src share the grid, spacings, lam and m.
     """
     if src.shape != f.shape:
         raise ValueError("field and source must share the grid")
@@ -213,12 +232,21 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
     if lattice(src) != lattice(f):
         raise ValueError(f"field (dt, dx, dtheta, lam, m) = {lattice(f)} differs "
                          f"from the source's {lattice(src)}")
-    slice_max = []
-    for t in range(1, f.shape[0] - 1):
-        r = _kg_interior(f.values[t - 1:t + 2], f)
-        r -= src.values[t:t + 1, 1:-1, 1:-1]
-        slice_max.append(np.abs(r).max())
-    return float(np.max(slice_max))
+
+    def rows_max(x: slice) -> float:
+        # interior rows x are grid rows x.start + 1 ... x.stop; the block
+        # adds their neighbours
+        v = f.values[:, x.start:x.stop + 2]
+        J = src.values[:, x.start + 1:x.stop + 1, 1:-1]
+        slice_max = []
+        for t in range(1, nt - 1):
+            r = _kg_interior(v[t - 1:t + 2], f)
+            r -= J[t:t + 1]
+            slice_max.append(np.abs(r).max())
+        return np.max(slice_max)
+
+    nt, nx, _ = f.shape
+    return float(np.max(_workers.run(rows_max, _slabs(nx - 2, f.values.size))))
 
 
 def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
@@ -261,28 +289,61 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     the pole shift eps enters as +i eps w with w the signed frequency,
     displacing both K^0 = +-omega poles causally.  Near-resonant modes
     trigger an ill-conditioning warning carrying the condition number.
+    Raises ValueError unless eps is finite and >= 0.
+
+    The transforms are numpy.fft.fftn and ifftn taken one axis at a time in
+    their order (theta, x, then t).  From _MIN_THREADED_CELLS cells on, the
+    usable CPUs share them in slabs: of time slices for the theta and x
+    transforms and the division by the symbol, of x rows for the t
+    transforms.  Each line is transformed as in the full-grid call, so the
+    result is the same for any CPU count.
     """
-    wt, kx, kq = _symbol_axes(src.values.shape, src.dt, src.dx, src.dtheta)
+    if not 0.0 <= eps < np.inf:  # False for NaN too
+        raise ValueError(f"eps = {eps} must be finite and >= 0")
+    wt, kx, kq = _symbol_axes(src.shape, src.dt, src.dx, src.dtheta)
     # plane waves here are exp(+i w t) (the inverse-FFT convention), so the
     # retarded prescription moves the poles to w = +-omega + i eps, i.e.
     # symbol(w - i eps) ~ symbol - 2 i eps w; the signed frequency keeps both
     # poles on the causal side
-    w_signed = 2.0 * np.pi * np.fft.fftfreq(src.values.shape[0], src.dt)
+    w_signed = 2.0 * np.pi * np.fft.fftfreq(src.shape[0], src.dt)
     shift = 1j * eps * w_signed
-    # divide one time slice at a time: each slice of kg_symbol is built from
-    # the axis factors, so neither the symbol nor its regularized form ever
-    # exists as a full array
-    phi = np.fft.fftn(src.values, out=np.empty(src.shape, dtype=complex))
-    min_abs, scale = float("inf"), 0.0
-    for t, phi_t in enumerate(phi):
-        symbol = _symbol_slice(wt[t], kx, kq, src.lam, src.m)
-        abs_symbol = np.abs(symbol)
-        min_abs = min(min_abs, float(abs_symbol.min()))
-        scale = max(scale, float(abs_symbol.max()))
-        reg = symbol - shift[t]
-        reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
-        phi_t /= reg
-    np.fft.ifftn(phi, out=phi)
+    phi = np.empty(src.shape, dtype=complex)
+    times = _slabs(src.shape[0], phi.size)
+    rows = _slabs(src.shape[1], phi.size)
+
+    def forward_slices(t: slice) -> None:
+        np.fft.fft(src.values[t], axis=2, out=phi[t])
+        np.fft.fft(phi[t], axis=1, out=phi[t])
+
+    def forward_rows(x: slice) -> None:
+        np.fft.fft(phi[:, x], axis=0, out=phi[:, x])
+
+    def divide_and_invert_slices(t: slice) -> tuple[float, float]:
+        # one time slice at a time: each slice of kg_symbol is built from the
+        # axis factors, so neither the symbol nor its regularized form ever
+        # exists as a full array
+        min_abs, scale = float("inf"), 0.0
+        for i in range(t.start, t.stop):
+            symbol = _symbol_slice(wt[i], kx, kq, src.lam, src.m)
+            abs_symbol = np.abs(symbol)
+            min_abs = min(min_abs, float(abs_symbol.min()))
+            scale = max(scale, float(abs_symbol.max()))
+            reg = symbol - shift[i]
+            reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
+            phi[i] /= reg
+        np.fft.ifft(phi[t], axis=2, out=phi[t])
+        np.fft.ifft(phi[t], axis=1, out=phi[t])
+        return min_abs, scale
+
+    def inverse_rows(x: slice) -> None:
+        np.fft.ifft(phi[:, x], axis=0, out=phi[:, x])
+
+    _workers.run(forward_slices, times)
+    _workers.run(forward_rows, rows)
+    bounds = _workers.run(divide_and_invert_slices, times)
+    _workers.run(inverse_rows, rows)
+    min_abs = min(lo for lo, _ in bounds)
+    scale = max(hi for _, hi in bounds)
     if min_abs < 1e-9 * scale:
         cond = scale / max(min_abs, 1e-300)
         warnings.warn(
@@ -447,14 +508,24 @@ def evolve_leapfrog(
     agrees with the stencil recurrence up to rounding.  Slices return to
     real space only for the recorded charges and the two returned slices.
 
+    Modes are independent in this basis.  From _MIN_THREADED_CELLS cells on,
+    the x rows of the transformed slices are split among the usable CPUs, and
+    each worker steps its own rows through every step between two recorded
+    steps; the transforms and the charges stay on the calling thread.  A
+    mode's arithmetic does not depend on the rows it is stepped with, so the
+    result is the same for any CPU count.
+
     Returns the last two field slices and the recorded charge series
-    [(step, t, charges)].  Raises ValueError unless phi and phidot are
-    finite (x, theta) arrays of one shape, when steps < 1, when dt, dx or
-    dtheta is not finite and positive, or when dt exceeds the stability
-    bound.
+    [(step, t, charges)], recorded at step 0 and every record_every steps
+    (none when record_every is 0).  Raises ValueError unless phi and phidot
+    are finite (x, theta) arrays of one shape, when steps is not an int >= 1
+    or record_every not an int >= 0, when dt, dx or dtheta is not finite and
+    positive, or when dt exceeds the stability bound.
     """
-    if steps < 1:
-        raise ValueError(f"steps = {steps} must be >= 1")
+    if not (isinstance(steps, numbers.Integral) and steps >= 1):
+        raise ValueError(f"steps = {steps!r} must be an int >= 1")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 0):
+        raise ValueError(f"record_every = {record_every!r} must be an int >= 0")
     _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
     if dt > max_stable_dt(dx, dtheta, lam, m):
         raise ValueError(
@@ -481,20 +552,33 @@ def evolve_leapfrog(
     # both passes contiguous
     gain = np.repeat(2.0 + dt**2 * s, 2, axis=1)
     tmp = np.empty_like(gain)
+    rows = _slabs(nx, nx * nq)
 
     def charges():
         return noether_charges(np.fft.ifft2(prev), np.fft.ifft2(cur),
                                dt, dx, dtheta, lam, m)
 
+    def advance(x: slice, count: int) -> None:
+        # count steps of the rows x, which no other worker touches
+        p, c = prev.view(float)[x], cur.view(float)[x]
+        g, t = gain[x], tmp[x]
+        for _ in range(count):
+            np.multiply(g, c, out=t)
+            np.subtract(t, p, out=p)
+            p, c = c, p
+
     series: list[tuple[int, float, Charges]] = []
     if record_every:
         series.append((0, 0.0, charges()))
-    for n in range(1, steps):
-        np.multiply(gain, cur.view(float), out=tmp)
-        np.subtract(tmp, prev.view(float), out=prev.view(float))
-        prev, cur = cur, prev
-        if record_every and n % record_every == 0:
-            series.append((n, n * dt, charges()))
+    done = 0  # steps taken after the first half-step
+    while done < steps - 1:
+        count = min(record_every or steps, steps - 1 - done)
+        _workers.run(lambda x: advance(x, count), rows)
+        if count % 2:
+            prev, cur = cur, prev
+        done += count
+        if record_every and done % record_every == 0:
+            series.append((done, done * dt, charges()))
     return np.fft.ifft2(prev), np.fft.ifft2(cur), series
 
 
@@ -528,54 +612,6 @@ def scalar_action_density(f: LatticeField) -> np.ndarray:
     return 0.5 * (
         -(dt_**2) + dx_**2 + f.lam**2 * dq_**2 + f.m**2 * c**2
     )
-
-
-# ---------------------------------------------------------------------------
-# snapshots and charge series
-
-_SNAPSHOT_MAGIC = "dfra-field-snapshot v1"
-
-
-def write_snapshot(f: LatticeField, path) -> None:
-    """Binary snapshot: text header, then little-endian complex128 samples."""
-    header = (
-        f"{_SNAPSHOT_MAGIC}\n"
-        f"shape {f.shape[0]} {f.shape[1]} {f.shape[2]}\n"
-        f"spacing {f.dt!r} {f.dx!r} {f.dtheta!r}\n"
-        f"lambda {f.lam!r} m {f.m!r}\n"
-        "dtype complex128 little\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(f.values.astype("<c16").tobytes())
-
-
-def read_snapshot(path) -> LatticeField:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    text_end = 0
-    for _ in range(5):
-        text_end = data.index(b"\n", text_end) + 1
-    lines = data[:text_end].decode("ascii").splitlines()
-    if lines[0] != _SNAPSHOT_MAGIC:
-        raise ValueError("not a field snapshot")
-    shape = tuple(int(x) for x in lines[1].split()[1:])
-    dt, dx, dtheta = (float(x) for x in lines[2].split()[1:])
-    lam, m = float(lines[3].split()[1]), float(lines[3].split()[3])
-    values = np.frombuffer(data[text_end:], dtype="<c16").reshape(shape)
-    return LatticeField(values.copy(), dt, dx, dtheta, lam, m)
-
-
-def charges_to_csv(series: Iterable[tuple[int, float, Charges]]) -> str:
-    """CSV rows `step,t,P0,P1,Ptheta,Q`."""
-    out = io.StringIO()
-    out.write("step,t,P0,P1,Ptheta,Q\n")
-    for step, t, ch in series:
-        out.write(
-            f"{step},{float(t)!r},{float(ch.P0)!r},{float(ch.P1)!r},"
-            f"{float(ch.Ptheta)!r},{float(ch.Q)!r}\n"
-        )
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,9 @@ variance, not the full contraction.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, NamedTuple
@@ -38,6 +36,8 @@ import numpy as np
 # the runtime of the first record that uses them
 import numpy.polynomial
 import numpy.random
+
+from . import _workers
 
 
 class QuadratureUnsupportedError(ValueError):
@@ -293,50 +293,38 @@ def moment_oracle(
         children = np.random.SeedSequence(seed).spawn(-(-samples // chunk))
         workers = 1
         if len(children) >= _MIN_THREADED_CHUNKS:
-            workers = min(len(children), _usable_cpus())
+            workers = min(len(children), _workers.usable_cpus())
         # the calling thread allocates every worker's draw buffer, so that no
         # worker thread's malloc arena keeps one once the thread is done
         rows = min(chunk, samples)
         buffers = [np.empty((rows, reads)) for _ in range(workers)]
         parts = [None] * len(children)  # (k, sum f/2^k, sum (f/2^k)^2) per chunk
-        errstate = np.geterr()
 
         def draw(w):
-            # worker w takes chunks w, w + workers, ...; it may run in a worker
-            # thread, so it calls no public dfra function: perfbench's tracer
-            # wraps those and keeps a single span stack; a worker starts from
-            # numpy's default error state, not the caller's
+            # worker w takes chunks w, w + workers, ...; worker 0 is the
+            # calling thread
             theta_buf = buffers[w]
             # once f has read a chunk's draws, the buffer's first n floats take
             # the scaled values and then their squares; numpy copies vals first
             # where f returned a view that overlaps them
             scratch = theta_buf.reshape(-1)
-            with np.errstate(**errstate):
-                for i in range(w, len(children), workers):
-                    n = min(chunk, samples - i * chunk)
-                    theta = theta_buf[:n]
-                    # sigma * z is what normal(0.0, sigma) computes, bit for bit
-                    np.random.default_rng(children[i]).standard_normal(out=theta)
-                    theta *= sigma
-                    vals = _values(f, theta)
-                    # |f| / 2^k < 1, so the squares cannot overflow; scaling by
-                    # a power of two is exact, so the sums are 2^-k times the
-                    # raw ones (2^1022 at most: 2^1073 is not a float)
-                    k = max(math.frexp(max(vals.max(), -vals.min()))[1], -1022)
-                    scaled = np.multiply(vals, 2.0 ** -k, out=scratch[:n])
-                    chunk_sum = float(scaled.sum())
-                    scaled *= scaled
-                    parts[i] = k, chunk_sum, float(scaled.sum())
+            for i in range(w, len(children), workers):
+                n = min(chunk, samples - i * chunk)
+                theta = theta_buf[:n]
+                # sigma * z is what normal(0.0, sigma) computes, bit for bit
+                np.random.default_rng(children[i]).standard_normal(out=theta)
+                theta *= sigma
+                vals = _values(f, theta)
+                # |f| / 2^k < 1, so the squares cannot overflow; scaling by
+                # a power of two is exact, so the sums are 2^-k times the
+                # raw ones (2^1022 at most: 2^1073 is not a float)
+                k = max(math.frexp(max(vals.max(), -vals.min()))[1], -1022)
+                scaled = np.multiply(vals, 2.0 ** -k, out=scratch[:n])
+                chunk_sum = float(scaled.sum())
+                scaled *= scaled
+                parts[i] = k, chunk_sum, float(scaled.sum())
 
-        if workers == 1:
-            draw(0)
-        else:
-            # the calling thread is worker 0
-            with concurrent.futures.ThreadPoolExecutor(workers - 1) as pool:
-                helpers = [pool.submit(draw, w) for w in range(1, workers)]
-                draw(0)
-                for helper in helpers:
-                    helper.result()
+        _workers.run(draw, range(workers))
         # fold in chunk order at the largest chunk's scale, so the sums do not
         # depend on the thread count
         top = max(k for k, _, _ in parts)
@@ -361,13 +349,6 @@ def moment_oracle(
 # 61.4 MB.  Below 16 chunks (4.2M samples) sampling takes well under a second
 # on one thread.
 _MIN_THREADED_CHUNKS = 16
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where there is one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, len(os.sched_getaffinity(0)))
-    return os.cpu_count() or 1
 
 
 def _values(f, theta: np.ndarray) -> np.ndarray:

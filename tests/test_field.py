@@ -16,7 +16,6 @@ from dfra.field import (
     PoleError,
     SourceTerm,
     TachyonicModeError,
-    charges_to_csv,
     discrete_mode_initial,
     dispersion,
     evolve_leapfrog,
@@ -30,11 +29,9 @@ from dfra.field import (
     noether_charges,
     plane_wave_mode,
     propagator,
-    read_snapshot,
     scalar_action_density,
     star_commutator,
     supplementary_residual,
-    write_snapshot,
 )
 from dfra.symcore import Expression, GaussRat, Generator, UnknownGeneratorError
 
@@ -592,50 +589,6 @@ def test_action_gradient_matches_kg_apply_second_order():
 def test_supplementary_condition_residual():
     f = LatticeField(np.full((6, 6, 6), 2.0 + 0j), 0.1, 0.1, 0.1, 1.0, 1.0)
     assert np.allclose(supplementary_residual(f, 0.7), -0.7 * 2.0)
-
-
-# -- snapshots and CSV --------------------------------------------------------------
-
-
-def test_snapshot_round_trip(tmp_path):
-    f = _plane_wave(8, lam=0.7, m=1.3)
-    path = tmp_path / "field.snap"
-    write_snapshot(f, path)
-    g = read_snapshot(path)
-    assert np.array_equal(g.values, f.values)
-    assert (g.dt, g.dx, g.dtheta, g.lam, g.m) == (f.dt, f.dx, f.dtheta, f.lam, f.m)
-
-
-def test_charges_csv_format():
-    series = [(0, 0.0, Charges(1.0, 0.5, -0.25, 2.0))]
-    text = charges_to_csv(series)
-    lines = text.splitlines()
-    assert lines[0] == "step,t,P0,P1,Ptheta,Q"
-    assert lines[1].startswith("0,0.0,1.0,0.5,-0.25,2.0")
-
-
-def test_charges_csv_from_evolution_round_trips(tmp_path):
-    import csv
-
-    from dfra.field import discrete_mode_initial
-
-    nx, nq = 12, 8
-    dx = dq = 0.4
-    lam, m = 1.0, 1.0
-    dt = 0.4 * max_stable_dt(dx, dq, lam, m)
-    phi0, phidot0, _ = discrete_mode_initial((nx, nq), dt, dx, dq, lam, m)
-    *_, series = evolve_leapfrog(phi0, phidot0, 50, dt, dx, dq, lam, m,
-                                 record_every=10)
-    path = tmp_path / "charges.csv"
-    path.write_text(charges_to_csv(series))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(series)
-    for row, (step, t, ch) in zip(rows, series):
-        assert int(row["step"]) == step
-        assert float(row["t"]) == t
-        assert float(row["P0"]) == ch.P0
-        assert float(row["Q"]) == ch.Q
 
 
 # -- Moyal star product ---------------------------------------------------------------

@@ -19,7 +19,9 @@ The leapfrog is the one exception: it steps the same linear recurrence in
 the lattice's Fourier basis, so it agrees with the roll stepper only up to
 rounding, and is compared within a bound stated in its tests.
 """
+import contextlib
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfra import field, oscillator
+from dfra import _workers, field, oscillator
 from dfra.field import IllConditionedWarning, LatticeField, SourceTerm
 
 # -- references ----------------------------------------------------------------
@@ -277,6 +279,195 @@ def test_kg_apply_at_equals_kg_apply_at_every_interior_point():
         assert field.kg_apply_at(f, it + 1, ix + 1, iq + 1) == full[it, ix, iq]
 
 
+# -- the field kernels on several threads -------------------------------------------
+
+
+# 1, 2 and 3 workers, and more workers than any grid below has rows
+_WORKERS = (1, 2, 3, 64)
+
+
+@contextlib.contextmanager
+def threaded_field(workers):
+    """The field kernels split among `workers` CPUs at every grid size.
+
+    Yields the number of parts each _workers.run call was given, so a test can
+    see that the split happened.  A short interpreter switch interval makes
+    the threads interleave often.
+    """
+    splits = []
+    real_run = _workers.run
+
+    def run(fn, parts):
+        splits.append(len(parts))
+        return real_run(fn, parts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "_MIN_THREADED_CELLS", 0)
+        mp.setattr(_workers, "usable_cpus", lambda: workers)
+        mp.setattr(_workers, "run", run)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield splits
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_field_grids_below_the_threshold_run_on_the_calling_thread(monkeypatch):
+    # suite-all's Green's-solve grid and leapfrog slice, at 2 CPUs: every
+    # _workers.run call gets a single part, which it runs on the calling thread
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
+    splits = []
+    real_run = _workers.run
+
+    def run(fn, parts):
+        splits.append(len(parts))
+        return real_run(fn, parts)
+
+    monkeypatch.setattr(_workers, "run", run)
+    src = _source(np.random.default_rng(1), (24, 32, 16), 1.0, 1.0)
+    field.kg_residual_max(field.greens_solve(src), src)
+    phi0, phidot0, _ = field.discrete_mode_initial((32, 16), 0.01, 0.2, 0.4, 1.0, 1.0)
+    field.evolve_leapfrog(phi0, phidot0, 10, 0.01, 0.2, 0.4, 1.0, 1.0)
+    assert splits and set(splits) == {1}
+    assert 24 * 32 * 16 < field._MIN_THREADED_CELLS
+
+
+@given(nx=st.integers(1, 9), nq=st.integers(1, 9), steps=st.sampled_from([1, 2, 11]),
+       record_every=st.sampled_from([0, 1, 3, 7]), lam=st.sampled_from([0.0, 1.3]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_threaded_leapfrog_equals_the_serial_bits(nx, nq, steps, record_every, lam, seed):
+    rng = np.random.default_rng(seed)
+    phi, phidot = _complex_grid(rng, (nx, nq)), _complex_grid(rng, (nx, nq))
+    dx, dq = 2 * np.pi / max(nx, 2), 2 * np.pi / max(nq, 2)
+    dt = 0.7 * field.max_stable_dt(dx, dq, lam, 1.0)
+    args = (phi, phidot, steps, dt, dx, dq, lam, 1.0)
+    prev, cur, series = field.evolve_leapfrog(*args, record_every=record_every)
+    for workers in _WORKERS:
+        with threaded_field(workers) as splits:
+            got_prev, got_cur, got_series = field.evolve_leapfrog(*args, record_every=record_every)
+        assert same_bits(got_prev, prev) and same_bits(got_cur, cur)
+        assert got_series == series
+        assert set(splits) <= {min(nx, workers)}
+
+
+@given(shape=_GRIDS, eps=st.sampled_from([0.0, 1e-10, 0.3]),
+       lam=st.sampled_from([0.0, 0.7]), m=st.sampled_from([0.0, 1.0]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_threaded_greens_solve_equals_the_serial_bits(shape, eps, lam, m, seed):
+    src = _source(np.random.default_rng(seed), shape, lam, m)
+    phi, caught = _solve_recording_warnings(field.greens_solve, src, eps)
+    for workers in _WORKERS:
+        with threaded_field(workers) as splits:
+            got, got_caught = _solve_recording_warnings(field.greens_solve, src, eps)
+        assert same_bits(got.values, phi.values)
+        assert got_caught == caught
+        # time slabs, x slabs, time slabs, x slabs
+        nt, nx, _ = shape
+        assert splits == [min(nt, workers), min(nx, workers)] * 2
+
+
+@given(shape=_GRIDS, seed=st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_threaded_residual_equals_the_serial_bits(shape, seed):
+    rng = np.random.default_rng(seed)
+    src = _source(rng, shape, 0.7, 1.0)
+    phi = LatticeField(_complex_grid(rng, shape), 0.11, 0.37, 0.41, 0.7, 1.0)
+    resid = field.kg_residual_max(phi, src)
+    for workers in _WORKERS:
+        with threaded_field(workers) as splits:
+            assert field.kg_residual_max(phi, src) == resid
+        assert splits == [min(shape[1] - 2, workers)]
+
+
+@pytest.mark.parametrize("workers", _WORKERS)
+def test_threaded_residual_propagates_a_nan_in_a_helpers_rows(workers):
+    # the last interior x row belongs to the last worker, a helper thread
+    # from 2 workers on
+    rng = np.random.default_rng(12)
+    src = _source(rng, (9, 6, 5), 0.7, 1.0)
+    values = _complex_grid(rng, (9, 6, 5))
+    values[4, 4, 2] = np.nan
+    phi = LatticeField(values, 0.11, 0.37, 0.41, 0.7, 1.0)
+    with threaded_field(workers):
+        assert math.isnan(field.kg_residual_max(phi, src))
+
+
+def _overflowing_mode(nx=8, nq=6, row=6):
+    # one Fourier mode of the leapfrog's slice near the largest float: its
+    # first step, gain * cur with gain close to 2, overflows in x row `row`
+    # of the transformed slices and nowhere else
+    hat = np.zeros((nx, nq), dtype=complex)
+    hat[row, 1] = 1.5e308
+    dx, dq = 2 * np.pi / nx, 2 * np.pi / nq
+    dt = 0.1 * field.max_stable_dt(dx, dq, 0.0, 0.0)
+    phi = np.fft.ifft2(hat)
+    return (phi, np.zeros_like(phi), 3, dt, dx, dq, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("workers", _WORKERS)
+def test_threaded_leapfrog_raises_an_overflow_in_a_helpers_rows(workers):
+    # row 6 of 8 is a helper's from 2 workers on
+    args = _overflowing_mode()
+    with threaded_field(workers):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                field.evolve_leapfrog(*args, record_every=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prev, _, _ = field.evolve_leapfrog(*args, record_every=0)
+    assert not np.isfinite(prev).all()
+
+
+@pytest.mark.parametrize("workers", _WORKERS)
+def test_threaded_greens_solve_warns_once_from_the_calling_thread(workers, monkeypatch):
+    # m^2 = w^2 of time slice 3 of 0-5, which a helper thread takes from 2
+    # workers on: only that slice's (x, theta) = (0, 0) mode is near resonance
+    wt = field._symbol_axes((6, 7, 5), 0.11, 0.37, 0.41)[0]
+    src = _source(np.random.default_rng(5), (6, 7, 5), 0.7, math.sqrt(wt[3]))
+    _, serial = _solve_recording_warnings(field.greens_solve, src, 1e-10)
+    threads = []
+    real_warn = warnings.warn
+
+    def warn(*args, **kwargs):
+        threads.append(threading.get_ident())
+        real_warn(*args, **kwargs)
+
+    monkeypatch.setattr(warnings, "warn", warn)
+    with threaded_field(workers):
+        _, caught = _solve_recording_warnings(field.greens_solve, src, 1e-10)
+    assert [c for c, _ in caught] == [IllConditionedWarning]
+    assert caught == serial
+    assert threads == [threading.get_ident()]
+
+
+@pytest.mark.parametrize("record_every", [-3, -1, 2.5, 1.0, "3", None])
+def test_leapfrog_record_every_must_be_a_non_negative_int(record_every):
+    phi0, phidot0, _ = field.discrete_mode_initial((8, 6), 0.01, 0.2, 0.4, 1.0, 1.0)
+    with pytest.raises(ValueError, match="record_every"):
+        field.evolve_leapfrog(phi0, phidot0, 10, 0.01, 0.2, 0.4, 1.0, 1.0,
+                              record_every=record_every)
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, 3.0])
+def test_leapfrog_steps_must_be_a_positive_int(steps):
+    phi0, phidot0, _ = field.discrete_mode_initial((8, 6), 0.01, 0.2, 0.4, 1.0, 1.0)
+    with pytest.raises(ValueError, match="steps"):
+        field.evolve_leapfrog(phi0, phidot0, steps, 0.01, 0.2, 0.4, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.3, -1e-300])
+def test_greens_solve_eps_must_be_finite_and_non_negative(eps):
+    src = _source(np.random.default_rng(3), (6, 6, 6), 0.7, 1.0)
+    with pytest.raises(ValueError, match="eps"):
+        field.greens_solve(src, eps)
+
+
 # -- Monte Carlo -------------------------------------------------------------------
 
 _CHUNK = 262_144
@@ -294,7 +485,7 @@ def test_monte_carlo_equals_serial_fold_for_any_worker_count(D, samples, monkeyp
         f = oscillator.monomial(exponents)
         mean, stderr = reference_monte_carlo(cfg, f, samples, 17)
         for workers in (1, 3):
-            monkeypatch.setattr(oscillator, "_usable_cpus", lambda w=workers: w)
+            monkeypatch.setattr(_workers, "usable_cpus", lambda w=workers: w)
             est = oscillator.moment_oracle(cfg, f, "monte-carlo", samples=samples, seed=17)
             assert est == (mean, stderr, "monte-carlo", samples)
 
@@ -332,17 +523,17 @@ def test_monte_carlo_f_may_return_a_view_of_its_draws(D):
 
 def test_monte_carlo_threads_only_for_many_chunks_and_at_most_one_per_chunk(monkeypatch):
     pools = []
-    real = oscillator.concurrent.futures.ThreadPoolExecutor
+    real = _workers.concurrent.futures.ThreadPoolExecutor
 
     def recording(workers):
         pools.append(workers)
         return real(workers)
 
-    monkeypatch.setattr(oscillator.concurrent.futures, "ThreadPoolExecutor", recording)
+    monkeypatch.setattr(_workers.concurrent.futures, "ThreadPoolExecutor", recording)
     cfg = oscillator.OscillatorConfig(D=2)
     least = oscillator._MIN_THREADED_CHUNKS
     for cpus, chunks in ((3, 1), (3, least - 1), (1, least), (3, least), (2 * least, least)):
-        monkeypatch.setattr(oscillator, "_usable_cpus", lambda c=cpus: c)
+        monkeypatch.setattr(_workers, "usable_cpus", lambda c=cpus: c)
         oscillator.moment_oracle(cfg, oscillator.monomial((2,)), "monte-carlo",
                                  samples=chunks * _CHUNK)
     # the calling thread draws too, so min(cpus, chunks) workers start one
@@ -354,7 +545,7 @@ def test_monte_carlo_one_buffer_per_worker_and_chunk_0_on_the_caller(monkeypatch
     cfg = oscillator.OscillatorConfig(D=3, Lambda=1.3, Omega=0.7)
     workers, chunks, seed = 3, 8, 5
     monkeypatch.setattr(oscillator, "_MIN_THREADED_CHUNKS", 2)
-    monkeypatch.setattr(oscillator, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: workers)
     seen = []  # (thread, buffer, first row) per chunk
 
     def f(theta):
