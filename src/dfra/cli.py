@@ -506,12 +506,18 @@ def oscillator_suite(p: dict):
     x2 = oscillator.x2_expectation(cfg, X2, p2)
 
     def spread(th):
-        # (1/4) |theta p|^2 averaged over p: (1/4) sum_ij (theta^{ij})^2 <p_j^2>
-        theta = np.zeros(th.shape[:-1] + (cfg.D, cfg.D))
-        for c, (i, j) in enumerate(cfg.mode_pairs):
-            theta[..., i - 1, j - 1] = th[..., c]
-            theta[..., j - 1, i - 1] = -th[..., c]
-        return 0.25 * (theta * theta).sum(axis=(-2, -1)) * p2 / cfg.D
+        # (1/4) |theta p|^2 averaged over p: (1/4) sum_ij (theta^{ij})^2 <p_j^2>,
+        # with the D x D tensor of 4096 points at a time
+        points = th.reshape(-1, th.shape[-1])
+        out = np.empty(len(points))
+        for b in range(0, len(points), 4096):
+            block = points[b:b + 4096]
+            theta = np.zeros((len(block), cfg.D, cfg.D))
+            for c, (i, j) in enumerate(cfg.mode_pairs):
+                theta[:, i - 1, j - 1] = block[:, c]
+                theta[:, j - 1, i - 1] = -block[:, c]
+            out[b:b + len(block)] = 0.25 * (theta * theta).sum(axis=(-2, -1)) * p2 / cfg.D
+        return out.reshape(th.shape[:-1])
 
     oracle = X2 + oscillator.moment_oracle(cfg, spread).value
     yield ("x2-spread-ground-state-D3", "coordinate-spread",
@@ -525,22 +531,16 @@ def field_suite(p: dict):
     for n in (12, 24, 48):
         dx = 2.0 * np.pi / n
         f = field.plane_wave_mode((n, n, n), 1.0 / n, dx, dx, lam, m)
-        residuals.append(float(np.abs(field.kg_apply(f)).max()))
+        # max |kg_apply(f)| a slice at a time, against a source that allocates nothing
+        zero = field.LatticeField(np.broadcast_to(0j, f.shape), f.dt, f.dx, f.dtheta, lam, m)
+        residuals.append(field.kg_residual_max(f, zero))
+    del f, zero  # the 48^3 wave lives no longer than its record
     slopes = [math.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     worst = _worst(*(abs(sl - 2.0) for sl in slopes))
     yield "kg-residual-order-2", "kg-lattice", worst, 0.1
 
-    shape = (p["nt"], p["nx"], p["ntheta"])
-    amplitude = 1.0
-    J = np.zeros(shape, dtype=complex)
-    J[shape[0] // 3, shape[1] // 2, shape[2] // 2] = amplitude
-    src = field.SourceTerm(J, 0.11, 0.37, 0.41, lam, m)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", field.IllConditionedWarning)
-        phi = field.greens_solve(src)
-    resid = field.kg_residual_max(phi, src)
     yield ("greens-residual", "greens-solve",
-           float(resid / amplitude), 1e-6)
+           _greens_residual((p["nt"], p["nx"], p["ntheta"]), lam, m), 1e-6)
 
     nx, nq = p["nx"], p["ntheta"]
     dx = 2.0 * np.pi / nx
@@ -601,6 +601,22 @@ def field_suite(p: dict):
         rhs = field.moyal_star(f_, field.moyal_star(g_, h_, theta, 6), theta, 6)
         mism += lhs != rhs
     yield "moyal-commutator-and-associativity", "moyal-product", mism, 0
+
+
+def _greens_residual(shape: tuple[int, int, int], lam: float, m: float) -> float:
+    """kg_residual_max of greens_solve's field for a point source, per unit amplitude.
+
+    The source and the field are grid-sized (50 MB each at 96 x 256 x 128)
+    and are freed when this returns, before the field suite's leapfrog runs.
+    """
+    amplitude = 1.0
+    J = np.zeros(shape, dtype=complex)
+    J[shape[0] // 3, shape[1] // 2, shape[2] // 2] = amplitude
+    src = field.SourceTerm(J, 0.11, 0.37, 0.41, lam, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", field.IllConditionedWarning)
+        phi = field.greens_solve(src)
+    return float(field.kg_residual_max(phi, src) / amplitude)
 
 
 def _random_cpoly(rng: random.Random) -> Expression:

@@ -113,6 +113,7 @@ def propagator(K: ExtendedMomentum, m: float, eps: float = 0.0) -> complex:
 def max_stable_dt(dx: float, dtheta: float, lam: float, m: float) -> float:
     """Leapfrog stability bound from the spatial symbol maximum."""
     _require_spacings(dx=dx, dtheta=dtheta)
+    _require_finite(lam=lam, m=m)
     return float(2.0 / np.sqrt(4.0 / dx**2 + 4.0 * lam**2 / dtheta**2 + m**2))
 
 
@@ -123,9 +124,20 @@ def _require_spacings(**spacings: float) -> None:
             raise ValueError(f"spacings must be finite and positive, got {name} = {h}")
 
 
+def _require_finite(**couplings: float) -> None:
+    """ValueError naming the first coupling (lam, m) that is not finite."""
+    for name, value in couplings.items():
+        if not -np.inf < value < np.inf:  # False for NaN too
+            raise ValueError(f"lam and m must be finite, got {name} = {value}")
+
+
 @dataclass(frozen=True)
 class LatticeField:
-    """Complex samples on the (t, x, theta) grid, with spacings and masses."""
+    """Complex samples on the (t, x, theta) grid, with spacings and masses.
+
+    Raises ValueError unless the spacings are finite and positive and lam
+    and m are finite.
+    """
 
     values: np.ndarray
     dt: float
@@ -143,6 +155,7 @@ class LatticeField:
         if min(self.values.shape) < 5:
             raise ValueError("grid sizes must be >= 5 for the stencils")
         _require_spacings(dt=self.dt, dx=self.dx, dtheta=self.dtheta)
+        _require_finite(lam=self.lam, m=self.m)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -168,9 +181,11 @@ class SourceTerm(LatticeField):
 
 
 # The field kernels split their work among the usable CPUs from this many
-# grid cells on (x rows times theta points for the leapfrog); below it they
-# run on the calling thread alone.  suite-all's grids stay below it: 24 x 32 x
-# 16 = 12,288 cells for the Green's solve and 32 x 16 for the leapfrog.
+# grid cells on (x rows times theta points of one time slice for the leapfrog
+# and the residual, which walk the slices one by one); below it they run on
+# the calling thread alone.  suite-all's grids stay below it: 24 x 32 x 16 =
+# 12,288 cells for the Green's solve, 32 x 16 for the leapfrog and 48 x 48
+# for the largest plane wave's residual.
 _MIN_THREADED_CELLS = 2**14
 
 
@@ -221,10 +236,10 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
 
     Equal to np.abs(kg_apply(f) - J_interior).max(), NaN included, but
     evaluated one time slice at a time, so no full-grid temporary is made.
-    From _MIN_THREADED_CELLS cells on, the interior x rows are split among the
-    usable CPUs and each worker walks every time slice of its own rows, so the
-    workers' temporaries together still make one slice.  Raises ValueError
-    unless f and src share the grid, spacings, lam and m.
+    From _MIN_THREADED_CELLS cells per time slice on, the interior x rows are
+    split among the usable CPUs and each worker walks every time slice of its
+    own rows, so the workers' temporaries together still make one slice.
+    Raises ValueError unless f and src share the grid, spacings, lam and m.
     """
     if src.shape != f.shape:
         raise ValueError("field and source must share the grid")
@@ -245,8 +260,8 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
             slice_max.append(np.abs(r).max())
         return np.max(slice_max)
 
-    nt, nx, _ = f.shape
-    return float(np.max(_workers.run(rows_max, _slabs(nx - 2, f.values.size))))
+    nt, nx, nq = f.shape
+    return float(np.max(_workers.run(rows_max, _slabs(nx - 2, nx * nq))))
 
 
 def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
@@ -278,6 +293,7 @@ def kg_symbol(
     evaluate the same _symbol_slice.
     """
     _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
+    _require_finite(lam=lam, m=m)
     wt, kx, kq = _symbol_axes(shape, dt, dx, dtheta)
     return _symbol_slice(wt.reshape(-1, 1, 1), kx, kq, lam, m)
 
@@ -373,9 +389,13 @@ def plane_wave_mode(
 
     k and kappa are chosen commensurate with the box (n_x, n_theta whole
     modes); omega comes from the continuum dispersion with the reduced
-    coupling exp(i kappa theta) <-> K2_{12} = kappa.
+    coupling exp(i kappa theta) <-> K2_{12} = kappa.  The values are built
+    in one complex array: the float phase k x + kappa theta - omega t times
+    1j, then exp and the amplitude applied in place, the same operations as
+    amplitude * exp(1j * phase).
     """
     _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
+    _require_finite(lam=lam, m=m)
     nt, nx, nq = shape
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
@@ -384,7 +404,9 @@ def plane_wave_mode(
     t = (dt * np.arange(nt)).reshape(nt, 1, 1)
     x = (dx * np.arange(nx)).reshape(1, nx, 1)
     q = (dtheta * np.arange(nq)).reshape(1, 1, nq)
-    values = amplitude * np.exp(1j * (k * x + kappa * q - omega * t))
+    values = np.multiply(1j, k * x + kappa * q - omega * t)
+    np.exp(values, out=values)
+    values *= amplitude
     return LatticeField(values, dt, dx, dtheta, lam, m)
 
 
@@ -408,6 +430,7 @@ def discrete_mode_initial(
     constant to rounding error.
     """
     _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
+    _require_finite(lam=lam, m=m)
     nx, nq = shape_xq
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
@@ -461,6 +484,7 @@ def noether_charges(
     independent pair.
     """
     _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
+    _require_finite(lam=lam, m=m)
     phi0 = np.asarray(phi0, dtype=complex)
     phi1 = np.asarray(phi1, dtype=complex)
     if phi0.shape != phi1.shape or phi0.ndim != 2:
@@ -520,13 +544,15 @@ def evolve_leapfrog(
     (none when record_every is 0).  Raises ValueError unless phi and phidot
     are finite (x, theta) arrays of one shape, when steps is not an int >= 1
     or record_every not an int >= 0, when dt, dx or dtheta is not finite and
-    positive, or when dt exceeds the stability bound.
+    positive, when lam or m is not finite, or when dt exceeds the stability
+    bound.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps = {steps!r} must be an int >= 1")
     if not (isinstance(record_every, numbers.Integral) and record_every >= 0):
         raise ValueError(f"record_every = {record_every!r} must be an int >= 0")
     _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
+    _require_finite(lam=lam, m=m)
     if dt > max_stable_dt(dx, dtheta, lam, m):
         raise ValueError(
             f"dt = {dt} exceeds the stability bound "

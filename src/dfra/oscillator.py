@@ -25,6 +25,7 @@ variance, not the full contraction.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -224,32 +225,42 @@ class MomentEstimate(NamedTuple):
     samples: int
 
 
-def monomial(exponents: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+def monomial(exponents: tuple[int, ...]) -> Callable[..., np.ndarray]:
     """Vectorized monomial prod theta_c^{e_c} over the component axis.
 
-    Exponents must be non-negative ints.  The returned f carries
-    f.components, the number of leading theta components it reads: one more
-    than the last index with a nonzero exponent, and at least 1.
-    moment_oracle's Monte Carlo draws only those components.
+    Exponents must be non-negative ints.  The returned f(theta, out=None)
+    computes each factor as theta_c ** e_c and multiplies them in component
+    order; given out, an array of shape theta.shape[:-1], it writes the
+    values there and returns out, with the same bits.  Only a second or later
+    factor then makes a temporary.  f carries f.components, the number of
+    leading theta components it reads: one more than the last index with a
+    nonzero exponent, and at least 1.  moment_oracle's Monte Carlo draws only
+    those components and passes its values buffers as out.
     """
     if not all(isinstance(e, numbers.Integral) and e >= 0 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative ints, got {exponents}")
-    exponents = tuple(exponents)  # f.components must stay true to what f reads
+    factors = [(c, e) for c, e in enumerate(exponents) if e]
 
-    def f(theta: np.ndarray) -> np.ndarray:
+    def f(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        out = None
-        for c, e in enumerate(exponents):
-            if e:
-                factor = theta[..., c] ** e
-                if out is None:
-                    out = factor
-                else:
-                    out *= factor
-        return np.ones(theta.shape[:-1]) if out is None else out
+        if not factors:
+            if out is None:
+                return np.ones(theta.shape[:-1])
+            out[...] = 1.0
+            return out
+        (c, e), *rest = factors
+        out = _power(theta[..., c], e, out)
+        for c, e in rest:
+            out *= _power(theta[..., c], e)
+        return out
 
-    f.components = 1 + max((c for c, e in enumerate(exponents) if e), default=0)
+    f.components = 1 + max((c for c, _ in factors), default=0)
     return f
+
+
+def _power(x: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x ** e, into out if given: numpy computes x ** 2 as np.square."""
+    return np.square(x, out=out) if e == 2 else np.power(x, e, out=out)
 
 
 def moment_oracle(
@@ -271,6 +282,13 @@ def moment_oracle(
     it draws only the components f reads.  f.components above n_modes is a
     ValueError in both methods.  seed is anything numpy.random.SeedSequence
     takes as entropy: an int or a tuple of ints.
+
+    The Monte Carlo's calling thread allocates every chunk-sized array up
+    front: one draw buffer per worker and, where f takes an out= keyword (as
+    monomial's functions do), one values buffer per worker, which f writes
+    each chunk's values into.  A chunk then makes no chunk-sized temporary
+    beyond what f itself makes; an f without out= returns a new array per
+    chunk.
     """
     M = cfg.n_modes
     lo = cfg.Lambda * cfg.Omega
@@ -298,6 +316,7 @@ def moment_oracle(
         # worker thread's malloc arena keeps one once the thread is done
         rows = min(chunk, samples)
         buffers = [np.empty((rows, reads)) for _ in range(workers)]
+        values = [np.empty(rows) for _ in range(workers)] if _takes_out(f) else None
         parts = [None] * len(children)  # (k, sum f/2^k, sum (f/2^k)^2) per chunk
 
         def draw(w):
@@ -314,7 +333,7 @@ def moment_oracle(
                 # sigma * z is what normal(0.0, sigma) computes, bit for bit
                 np.random.default_rng(children[i]).standard_normal(out=theta)
                 theta *= sigma
-                vals = _values(f, theta)
+                vals = _values(f, theta, None if values is None else values[w][:n])
                 # |f| / 2^k < 1, so the squares cannot overflow; scaling by
                 # a power of two is exact, so the sums are 2^-k times the
                 # raw ones (2^1022 at most: 2^1073 is not a float)
@@ -343,7 +362,7 @@ def moment_oracle(
 
 # Monte Carlo draws its chunks on threads only from this many chunks on.
 # Each worker holds its own draw buffer, rows x the components f reads, and
-# f's values for its chunk at the same time as the others: 8.4 MB at M = 3
+# a buffer for f's values at the same time as the others: 8.4 MB at M = 3
 # for an f that reads all three components.  Threading the 1M samples (4
 # chunks) of `dfra run --suite all` on 2 CPUs raised its peak RSS from 51.4 to
 # 61.4 MB.  Below 16 chunks (4.2M samples) sampling takes well under a second
@@ -351,9 +370,17 @@ def moment_oracle(
 _MIN_THREADED_CHUNKS = 16
 
 
-def _values(f, theta: np.ndarray) -> np.ndarray:
-    """f at theta as floats, which must have shape theta.shape[:-1]."""
-    vals = np.asarray(f(theta), dtype=float)
+def _takes_out(f) -> bool:
+    """Whether f takes an out= keyword, as monomial's functions do."""
+    try:
+        return "out" in inspect.signature(f).parameters
+    except (TypeError, ValueError):  # a callable with no signature to read
+        return False
+
+
+def _values(f, theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f at theta as floats, which must have shape theta.shape[:-1]; into out if given."""
+    vals = np.asarray(f(theta) if out is None else f(theta, out=out), dtype=float)
     if vals.shape != theta.shape[:-1]:
         raise ValueError(f"f maps theta of shape {theta.shape} to shape {vals.shape}, "
                          f"not {theta.shape[:-1]}")

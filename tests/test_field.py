@@ -406,6 +406,38 @@ def test_spacings_and_dt_must_be_finite_and_positive(call, name, bad):
         call(spacings)
 
 
+# each entry point that takes lam and m, at finite positive spacings
+_COUPLING_CALLS = {
+    "LatticeField": lambda c: LatticeField(np.zeros((5, 5, 5)), 0.01, 0.1, 0.1, **c),
+    "SourceTerm": lambda c: SourceTerm(np.zeros((5, 5, 5)), 0.01, 0.1, 0.1, **c),
+    "evolve_leapfrog": lambda c: evolve_leapfrog(np.zeros((8, 6)), np.zeros((8, 6)), 3,
+                                                 0.01, 0.1, 0.1, **c),
+    "discrete_mode_initial": lambda c: discrete_mode_initial((8, 6), 0.01, 0.1, 0.1, **c),
+    "kg_symbol": lambda c: kg_symbol((8, 8, 8), 0.01, 0.1, 0.1, **c),
+    "max_stable_dt": lambda c: max_stable_dt(0.1, 0.1, **c),
+    "plane_wave_mode": lambda c: plane_wave_mode((8, 8, 8), 0.01, 0.1, 0.1, **c),
+    "noether_charges": lambda c: noether_charges(np.ones((8, 6)), np.ones((8, 6)),
+                                                 0.01, 0.1, 0.1, **c),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["lam", "m"])
+@pytest.mark.parametrize("call", list(_COUPLING_CALLS.values()), ids=list(_COUPLING_CALLS))
+def test_lam_and_m_must_be_finite(call, name, bad):
+    # a NaN lam passes the stability bound (dt > nan is False) and turns
+    # every slice, charge and Green's field NaN
+    couplings = {"lam": 1.0, "m": 1.0, name: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{name} = {bad}")):
+        call(couplings)
+
+
+def test_negative_lam_and_m_are_finite_couplings():
+    # both enter only squared
+    f = plane_wave_mode((8, 8, 8), 0.01, 0.1, 0.1, lam=-1.5, m=-0.5)
+    assert (f.lam, f.m) == (-1.5, -0.5)
+
+
 def _lattice_mode_frequency(k, kappa, dt, dx, dtheta, lam, m):
     # the leapfrog branch frequency from sin(k h / 2) at the mode's own
     # momenta, independent of the symbol's axis factors

@@ -25,13 +25,15 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from dfra import _workers, field, oscillator
+from dfra import _workers, cli, field, oscillator
 from dfra.field import IllConditionedWarning, LatticeField, SourceTerm
 
 # -- references ----------------------------------------------------------------
@@ -318,8 +320,9 @@ def same_bits(a, b):
 
 
 def test_field_grids_below_the_threshold_run_on_the_calling_thread(monkeypatch):
-    # suite-all's Green's-solve grid and leapfrog slice, at 2 CPUs: every
-    # _workers.run call gets a single part, which it runs on the calling thread
+    # suite-all's Green's-solve grid, leapfrog slice and largest plane wave, at
+    # 2 CPUs: every _workers.run call gets a single part, which it runs on the
+    # calling thread
     monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
     splits = []
     real_run = _workers.run
@@ -333,6 +336,8 @@ def test_field_grids_below_the_threshold_run_on_the_calling_thread(monkeypatch):
     field.kg_residual_max(field.greens_solve(src), src)
     phi0, phidot0, _ = field.discrete_mode_initial((32, 16), 0.01, 0.2, 0.4, 1.0, 1.0)
     field.evolve_leapfrog(phi0, phidot0, 10, 0.01, 0.2, 0.4, 1.0, 1.0)
+    wave = field.plane_wave_mode((48, 48, 48), 1 / 48, np.pi / 24, np.pi / 24, 1.0, 1.0)
+    field.kg_residual_max(wave, _zero_source(wave))
     assert splits and set(splits) == {1}
     assert 24 * 32 * 16 < field._MIN_THREADED_CELLS
 
@@ -561,3 +566,131 @@ def test_monte_carlo_one_buffer_per_worker_and_chunk_0_on_the_caller(monkeypatch
     first = np.random.default_rng(child).normal(0.0, sigma, cfg.n_modes)
     (thread,) = [t for t, _, row in seen if np.array_equal(row, first)]
     assert thread == threading.get_ident()
+
+
+# -- memory: chunk- and slice-sized temporaries, freed with their record ------------
+
+
+def reference_monomial(theta, exponents):
+    """prod theta_c ** e_c, the factors multiplied in component order."""
+    out = None
+    for c, e in enumerate(exponents):
+        if e:
+            factor = theta[..., c] ** e
+            out = factor if out is None else out * factor
+    return np.ones(theta.shape[:-1]) if out is None else out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), exponents=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       lead=st.lists(st.integers(0, 6), max_size=3))
+def test_monomial_writes_the_same_bits_into_out(data, exponents, lead):
+    theta = data.draw(hnp.arrays(float, (*lead, len(exponents)),
+                                 elements=st.floats(allow_nan=True, allow_infinity=True)))
+    f = oscillator.monomial(tuple(exponents))
+    buf = np.full(lead, 7.0)
+    with np.errstate(all="ignore"):
+        want = reference_monomial(theta, exponents)
+        plain = f(theta)
+        got = f(theta, out=buf)
+    assert got is buf
+    assert same_bits(got, want) and same_bits(plain, want)
+
+
+def test_monte_carlo_workers_allocate_nothing_chunk_sized(monkeypatch):
+    # 16 chunks on 2 workers: before they start, the calling thread holds one
+    # draw buffer and one values buffer per worker; past that the draws trace
+    # only small objects (seed sequences, generators, the thread pool)
+    cfg = oscillator.OscillatorConfig(D=3)
+    workers, chunks, slack = 2, oscillator._MIN_THREADED_CHUNKS, 256 * 1024
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: workers)
+    traced_at_start = []
+    real_run = _workers.run
+
+    def run(fn, parts):
+        traced_at_start.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return real_run(fn, parts)
+
+    monkeypatch.setattr(_workers, "run", run)
+    tracemalloc.start()
+    try:
+        oscillator.moment_oracle(cfg, oscillator.monomial((2, 0, 0)), "monte-carlo",
+                                 samples=chunks * _CHUNK, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = workers * (_CHUNK * 1 + _CHUNK) * 8  # (rows, 1) draws and rows values each
+    (at_start,) = traced_at_start
+    assert buffers <= at_start <= buffers + slack
+    assert peak <= at_start + slack
+
+
+def _zero_source(f):
+    return LatticeField(np.broadcast_to(0j, f.shape), f.dt, f.dx, f.dtheta, f.lam, f.m)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [12, 24, 48])
+def test_residual_against_a_zero_source_is_max_abs_kg_apply(n, workers):
+    dx = 2.0 * np.pi / n
+    f = field.plane_wave_mode((n, n, n), 1.0 / n, dx, dx, 1.3, 0.7)
+    noisy = LatticeField(_complex_grid(np.random.default_rng(n), f.shape), 0.11, 0.37, 0.41, 1.3, 0.7)
+    nan = LatticeField(noisy.values.copy(), 0.11, 0.37, 0.41, 1.3, 0.7)
+    nan.values[n // 2, n - 2, 1] = np.nan
+    with threaded_field(workers):
+        for g in (f, noisy, nan):
+            got = field.kg_residual_max(g, _zero_source(g))
+            want = float(np.abs(field.kg_apply(g)).max())
+            assert same_bits(np.float64(got), np.float64(want))
+    assert math.isnan(got)
+
+
+def test_residual_against_a_zero_source_traces_less_than_one_interior_array():
+    n = 48
+    f = field.plane_wave_mode((n, n, n), 1.0 / n, 2.0 * np.pi / n, 2.0 * np.pi / n, 1.0, 1.0)
+    zero = _zero_source(f)
+    tracemalloc.start()
+    try:
+        field.kg_residual_max(f, zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (n - 2) ** 3 * 16
+
+
+def test_kg_residual_order_2_record_traces_its_largest_wave_and_less_than_one_interior():
+    # the 48^3 plane wave is 1.8 MB and its interior 1.6 MB; building the wave
+    # as amplitude * exp(1j * phase), or the residual as np.abs(kg_apply(f)),
+    # holds two such arrays at once
+    records = cli.field_suite(cli.parse_params([]))
+    tracemalloc.start()
+    try:
+        name, *_ = next(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        records.close()
+    assert name == "kg-residual-order-2"
+    assert peak < 48**3 * 16 + 46**3 * 16
+
+
+def test_greens_field_and_source_are_freed_before_the_leapfrog(monkeypatch):
+    arrays = []  # weak references to the source's and the field's values
+    alive = []
+    real_solve, real_evolve = field.greens_solve, field.evolve_leapfrog
+
+    def solve(src, *args, **kwargs):
+        phi = real_solve(src, *args, **kwargs)
+        arrays.extend(weakref.ref(a) for a in (src.values, phi.values))
+        return phi
+
+    def evolve(*args, **kwargs):
+        alive.extend(ref() is not None for ref in arrays)
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(field, "greens_solve", solve)
+    monkeypatch.setattr(field, "evolve_leapfrog", evolve)
+    records = [name for name, *_ in cli.field_suite(cli.parse_params([]))]
+    assert records.index("greens-residual") < records.index("charge-drift-1000-steps")
+    assert alive == [False, False]
