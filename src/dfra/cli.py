@@ -159,9 +159,12 @@ def _bisect(f, lo: float, hi: float) -> float:
     """Root of f in [lo, hi] by bisection down to adjacent floats.
 
     Returns an exact zero of f if it meets one, else the final end with the
-    smaller |f|.  Raises ValueError unless f(lo) and f(hi) have opposite
-    signs (or one is 0), and when f is NaN at a midpoint.
+    smaller |f|.  Raises ValueError unless lo and hi are finite and f(lo)
+    and f(hi) have opposite signs (or one is 0), and when f is NaN at a
+    midpoint.  f is not called at a non-finite end.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"[{lo}, {hi}] brackets no sign change")
     flo, fhi = f(lo), f(hi)
     if flo == 0:
         return lo

@@ -75,9 +75,6 @@ class GammaSet:
             raise IndexError("vector index must be 0..3")
         return self.gamma[mu]
 
-    def vector_lower(self, mu: int) -> np.ndarray:
-        return ETA[mu, mu] * self.gamma[mu]
-
     def pair(self, mu: int, nu: int) -> np.ndarray:
         """Gamma^{mu nu} = -Gamma^{nu mu}; zero when mu == nu."""
         if mu == nu:
@@ -224,11 +221,6 @@ def dirac_square_residual(gs: GammaSet, k, K, lam: float, m: float) -> float:
     return float(np.abs(prod - target).max())
 
 
-def dirac_smallest_singular_value(gs: GammaSet, k, K, lam: float, m: float) -> float:
-    """Smallest singular value of D(k, K); zero exactly on shell."""
-    return float(np.linalg.svd(dirac_operator(gs, k, K, lam, m), compute_uv=False)[-1])
-
-
 # ---------------------------------------------------------------------------
 # finite spinor transformations
 
@@ -274,31 +266,3 @@ def intertwining_residual(gs: GammaSet, omega: np.ndarray) -> float:
         rhs = sum(L[mu, nu] * gs.vector(nu) for nu in range(4))
         residuals.append(np.abs(S_inv @ gs.vector(mu) @ S - rhs).max())
     return float(np.max(residuals))
-
-
-# ---------------------------------------------------------------------------
-# text export for cross-tool validation
-
-
-def gammas_to_text(gs: GammaSet) -> str:
-    """Row-major dump, one `re im` column pair per entry, blocks per index."""
-    lines = ["# gamma matrices, macro index order: 0..3 vector, then pairs "
-             + " ".join(f"({a},{b})" for a, b in PAIRS)]
-    for A in range(10):
-        lines.append(f"# A = {A}")
-        for row in gs.gamma[A]:
-            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def gammas_from_text(text: str) -> np.ndarray:
-    """Parse gammas_to_text output back into a (10, 32, 32) array."""
-    rows = [
-        [complex(float(a), float(b)) for a, b in zip(*[iter(line.split())] * 2)]
-        for line in text.splitlines()
-        if line and not line.startswith("#")
-    ]
-    flat = np.array(rows, dtype=complex)
-    if flat.shape != (10 * N_SPINOR, N_SPINOR):
-        raise ValueError("unexpected gamma text shape")
-    return flat.reshape(10, N_SPINOR, N_SPINOR)

@@ -33,7 +33,6 @@ from .symcore import (
     bracket,
     format_expression,
     normal_form,
-    parse_expression,
 )
 
 
@@ -64,11 +63,6 @@ class PhaseSpace(IndexSpace):
     def core_generators(self) -> list[Expression]:
         """The (x, p, theta, pi) sector shared with the quantum algebra."""
         return self._generators(("x", "p"))
-
-    @property
-    def num_variables(self) -> int:
-        n = len(self.indices)
-        return 2 * n + n * (n - 1) + 2 * n
 
 
 def build_phase_space(D: int, relativistic: bool = False) -> PhaseSpace:
@@ -144,20 +138,6 @@ def dfra_constraints(
     return ConstraintSet(tuple(psis + phis), tuple(psi_labels + phi_labels))
 
 
-def constraint_set_from_text(ps: PhaseSpace, lines: list[str]) -> ConstraintSet:
-    """Constraints from the textual expression syntax, one per line."""
-    constraints, labels = [], []
-    for k, line in enumerate(lines):
-        if "=" in line:
-            label, _, body = line.partition("=")
-            label = label.strip()
-        else:
-            label, body = f"Xi[{k}]", line
-        constraints.append(normal_form(parse_expression(body, ps.table), ps.table))
-        labels.append(label)
-    return ConstraintSet(tuple(constraints), tuple(labels))
-
-
 @dataclass(frozen=True)
 class ConstraintMatrix:
     entries: tuple[tuple[Expression, ...], ...]
@@ -202,15 +182,6 @@ def constraint_matrix(ps: PhaseSpace, cs: ConstraintSet) -> ConstraintMatrix:
     for a in cs.constraints:
         rows.append(tuple(bracket(a, b, ps.table) for b in cs.constraints))
     return ConstraintMatrix(tuple(rows), cs.labels)
-
-
-def classify(ps: PhaseSpace, cs: ConstraintSet) -> str:
-    """'second-class' iff the (scalar) constraint matrix is invertible."""
-    try:
-        DiracBracket(ps, cs)
-    except NotSecondClassError:
-        return "not-second-class"
-    return "second-class"
 
 
 class DiracBracket:

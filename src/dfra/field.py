@@ -13,8 +13,8 @@ Box + lambda^2 Box_theta - m^2 = -d_t^2 + d_x^2 + lambda^2 d_theta^2 - m^2,
 whose Fourier symbol equals 1/G(K) with G(K) = -1/(K^2 + m^2).
 
 The explicit leapfrog stepper is stable for
-dt <= 2 / sqrt(4/dx^2 + 4 lambda^2/dtheta^2 + m^2);
-the lattice metadata records that bound.
+dt <= 2 / sqrt(4/dx^2 + 4 lambda^2/dtheta^2 + m^2), the bound max_stable_dt
+gives.
 """
 
 from __future__ import annotations
@@ -63,10 +63,11 @@ class IllConditionedWarning(UserWarning):
 
 def dispersion(kvec1, k2, lam: float, m: float) -> float:
     """omega = sqrt(|k1|^2 + (lam^2/2) K2.K2 + m^2)."""
-    kvec1 = np.asarray(kvec1, dtype=float)
+    kvec1, k2 = np.asarray(kvec1, dtype=float), np.asarray(k2, dtype=float)
     if kvec1.shape != (3,):
         raise ValueError("kvec1 must be the spatial 3-vector")
-    k2 = antisymmetric(np.asarray(k2, dtype=float), "theta-momentum")
+    _require_finite(kvec1=kvec1, k2=k2, lam=lam, m=m)
+    k2 = antisymmetric(k2, "theta-momentum")
     radicand = float(kvec1 @ kvec1) + 0.5 * lam**2 * pair_dot(k2, k2) + m**2
     if radicand < 0:
         raise TachyonicModeError(f"negative radicand {radicand}")
@@ -89,8 +90,9 @@ class ExtendedMomentum:
         object.__setattr__(self, "k1", np.asarray(self.k1, dtype=float))
         if self.k1.shape != (4,):
             raise ValueError("k1 must be a 4-vector")
-        k2 = antisymmetric(np.asarray(self.k2, dtype=float), "theta-momentum")
-        object.__setattr__(self, "k2", k2)
+        k2 = np.asarray(self.k2, dtype=float)
+        _require_finite(k1=self.k1, k2=k2, lam=self.lam)
+        object.__setattr__(self, "k2", antisymmetric(k2, "theta-momentum"))
 
     def squared(self) -> float:
         """K^2 = K1.K1 + (lam^2/2) K2.K2 (metric contractions)."""
@@ -100,6 +102,7 @@ class ExtendedMomentum:
 
 def propagator(K: ExtendedMomentum, m: float, eps: float = 0.0) -> complex:
     """G(K) = -1 / (K^2 + m^2 - i eps); poles at K^0 = +-omega."""
+    _require_finite(m=m, eps=eps)
     denom = K.squared() + m**2 - 1j * eps
     if abs(denom) < 1e-14:
         raise PoleError("on-shell momentum; supply eps for an i-epsilon shift")
@@ -124,11 +127,13 @@ def _require_spacings(**spacings: float) -> None:
             raise ValueError(f"spacings must be finite and positive, got {name} = {h}")
 
 
-def _require_finite(**couplings: float) -> None:
-    """ValueError naming the first coupling (lam, m) that is not finite."""
-    for name, value in couplings.items():
-        if not -np.inf < value < np.inf:  # False for NaN too
-            raise ValueError(f"lam and m must be finite, got {name} = {value}")
+def _require_finite(**values) -> None:
+    """ValueError naming the first value (a coupling, eps or a momentum
+    array) with an entry that is not finite."""
+    for name, value in values.items():
+        v = np.asarray(value)
+        if not np.all((-np.inf < v) & (v < np.inf)):  # False for NaN too
+            raise ValueError(f"lam, m, eps and momenta must be finite, got {name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,6 @@ class LatticeField:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.values.shape
-
-    @property
-    def stable_dt(self) -> float:
-        """The recorded stability bound for explicit time stepping."""
-        return max_stable_dt(self.dx, self.dtheta, self.lam, self.m)
 
 
 class SourceTerm(LatticeField):
@@ -606,15 +606,6 @@ def evolve_leapfrog(
         if record_every and done % record_every == 0:
             series.append((done, done * dt, charges()))
     return np.fft.ifft2(prev), np.fft.ifft2(cur), series
-
-
-def fit_frequency(samples: np.ndarray, dt: float) -> float:
-    """Frequency of a complex oscillation by linear phase fit."""
-    _require_spacings(dt=dt)
-    phase = np.unwrap(np.angle(np.asarray(samples)))
-    t = dt * np.arange(len(phase))
-    slope = np.polyfit(t, phase, 1)[0]
-    return -float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,10 @@ class OscillatorConfig:
             if not (math.isfinite(value) and value > 0):  # NaN fails both
                 raise ValueError(f"oscillator parameter {name} must be finite and "
                                  f"positive, got {value}")
-        if self.D < 2:
-            raise ValueError("D must be >= 2")
+        # a float D would give a float n_modes; bool is an Integral too
+        if not (isinstance(self.D, numbers.Integral) and not isinstance(self.D, bool)
+                and self.D >= 2):
+            raise ValueError(f"D must be an integer >= 2, got {self.D!r}")
 
     @property
     def n_modes(self) -> int:

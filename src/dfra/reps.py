@@ -255,10 +255,6 @@ class GroupElement(_Element):
     def identity() -> "GroupElement":
         return GroupElement(np.eye(4), np.zeros(4), np.zeros((4, 4)))
 
-    @staticmethod
-    def pure_lorentz(lam) -> "GroupElement":
-        return GroupElement(lam, np.zeros(4), np.zeros((4, 4)))
-
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """Group law: (L1 L2, L1 A2 + A1, D2(L1) B2 + B1)."""
@@ -387,11 +383,6 @@ def compose_infinitesimal(
 def _d2_first_order(omega: Scaled) -> Scaled:
     one = np.eye(4, dtype=omega.num.dtype)
     return Scaled(_minors(omega.num, one) + _minors(one, omega.num), omega.den)
-
-
-def d2_first_order(omega: np.ndarray) -> np.ndarray:
-    """Derivative of d2 at the identity in direction omega (mixed indices)."""
-    return _d2_first_order(Scaled.of(omega)).array()
 
 
 def scaled_generator(e: InfinitesimalElement) -> Scaled:

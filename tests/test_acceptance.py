@@ -164,7 +164,7 @@ def test_criterion_4_representation_homomorphism():
         assert all(
             a == b
             for a, b in zip(commutator[4:10, 4:10].flat,
-                            reps.d2_first_order(e3.omega).flat)
+                            reps.generator_matrix(e3)[4:10, 4:10].flat)
         )
 
     nrng = np.random.default_rng(44)

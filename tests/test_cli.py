@@ -441,6 +441,17 @@ def test_bisect_raises_without_a_bracketed_root(f):
         _bisect(f, -1.0, 0.5)
 
 
+@pytest.mark.parametrize("lo, hi", [(math.nan, 0.5), (-1.0, math.inf), (-math.inf, math.nan)])
+def test_bisect_rejects_a_non_finite_end_without_calling_f(lo, hi):
+    # the field suite's pole check brackets a NaN dispersion value this way,
+    # and its f builds an ExtendedMomentum, which rejects a NaN component
+    def f(x):
+        raise AssertionError(f"f called at {x}")
+
+    with pytest.raises(ValueError, match="no sign change"):
+        _bisect(f, lo, hi)
+
+
 @pytest.mark.parametrize("error", [1.0, math.nan], ids=["root-outside", "nan"])
 def test_pole_check_without_a_bracketed_root_raises(monkeypatch, error):
     # the bracket is the dispersion value +- 0.5: a wrong value never passes

@@ -24,7 +24,6 @@ from dfra.reps import (
     compose_infinitesimal,
     d1,
     d2,
-    d2_first_order,
     d3,
     d4,
     d5,
@@ -216,7 +215,7 @@ def test_exact_infinitesimal_results_equal_fraction_definitions(e1, e2):
     for got, want in zip((e3.omega, e3.a, e3.b), _ref_compose_infinitesimal(e1, e2)):
         assert _fraction_equal(got, want)
     for e in (e1, e2, e3):
-        assert _fraction_equal(d2_first_order(e.omega), _ref_d2_first_order(e.omega))
+        assert _fraction_equal(generator_matrix(e)[4:10, 4:10], _ref_d2_first_order(e.omega))
         assert _fraction_equal(generator_matrix(e), _ref_generator_matrix(e))
         assert _fraction_equal(scaled_generator(e).array(), _ref_generator_matrix(e))
 

@@ -97,6 +97,20 @@ def test_config_rejects_nonfinite_or_nonpositive_parameters(name, value):
         OscillatorConfig(D=3, **{name: value})
 
 
+@pytest.mark.parametrize("D", [2.5, 3.0, True, 1])
+def test_config_requires_an_integer_dimension_of_at_least_two(D):
+    # D = 2.5 gave n_modes == 1.0, and mode_pairs and the Monte Carlo's
+    # buffers then raised TypeError
+    with pytest.raises(ValueError, match="D must be an integer >= 2"):
+        OscillatorConfig(D=D)
+
+
+def test_config_takes_a_numpy_integer_dimension():
+    cfg = OscillatorConfig(D=np.int64(3))
+    assert cfg.n_modes == 3
+    assert cfg.mode_pairs == [(1, 2), (1, 3), (2, 3)]
+
+
 def test_occupation_validation():
     with pytest.raises(ValueError):
         Occupation((0, -1, 0), (0, 0, 0))
