@@ -1,10 +1,12 @@
 """One function run on several threads, the calling thread being one of them.
 
-The numeric kernels split their work into independent parts, one per worker,
-so that each element goes through the same arithmetic whatever the worker
-count.  Worker functions must call only numpy and private dfra functions:
-perfbench's tracer wraps dfra's public functions and keeps a single span
-stack, which a call from a second thread would corrupt.
+The leapfrog and the Monte Carlo, the two numeric kernels that thread, split
+their work into contiguous parts with split(), one per worker, so that each
+element goes through the same arithmetic whatever the worker count; each
+kernel decides by its own threshold whether to split at all.  Worker
+functions must call only numpy and private dfra functions: perfbench's
+tracer wraps dfra's public functions and keeps a single span stack, which a
+call from a second thread would corrupt.
 """
 
 from __future__ import annotations
@@ -24,6 +26,12 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
+
+
+def split(n: int, threaded: bool) -> list[slice]:
+    """range(n) as contiguous slices, one per usable CPU (at most n); a single one unless threaded."""
+    workers = min(n, usable_cpus()) if threaded else 1
+    return [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
 
 
 def run(fn: Callable[[P], T], parts: Sequence[P]) -> list[T]:

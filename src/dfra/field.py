@@ -50,10 +50,6 @@ class PoleError(ZeroDivisionError):
     """Propagator evaluated on shell without an i-epsilon prescription."""
 
 
-class BoundaryError(IndexError):
-    """Stencil evaluation requested on the grid boundary."""
-
-
 class IllConditionedWarning(UserWarning):
     """A lattice mode sits (nearly) on shell; the solve is regularized."""
 
@@ -101,8 +97,14 @@ class ExtendedMomentum:
 
 
 def propagator(K: ExtendedMomentum, m: float, eps: float = 0.0) -> complex:
-    """G(K) = -1 / (K^2 + m^2 - i eps); poles at K^0 = +-omega."""
+    """G(K) = -1 / (K^2 + m^2 - i eps); poles at K^0 = +-omega.
+
+    Raises ValueError unless m is finite and eps finite and >= 0: a negative
+    eps would give the advanced prescription.
+    """
     _require_finite(m=m, eps=eps)
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got eps = {eps}")
     denom = K.squared() + m**2 - 1j * eps
     if abs(denom) < 1e-14:
         raise PoleError("on-shell momentum; supply eps for an i-epsilon shift")
@@ -180,21 +182,13 @@ class SourceTerm(LatticeField):
                 raise ValueError("source must vanish on the grid boundary")
 
 
-# The field kernels split their work among the usable CPUs from this many
-# grid cells on (x rows times theta points of one time slice for the leapfrog
-# and the residual, which walk the slices one by one); below it they run on
-# the calling thread alone.  suite-all's grids stay below it: 24 x 32 x 16 =
-# 12,288 cells for the Green's solve, 32 x 16 for the leapfrog and 48 x 48
-# for the largest plane wave's residual.
+# The leapfrog splits its slices' x rows among the usable CPUs from this
+# many cells of one (x, theta) slice on; below it, it runs on the calling
+# thread alone.  suite-all's 32 x 16 slice stays below it.  The Green's solve
+# and the residual run on the calling thread at every size: on
+# numeric-oracles' 96 x 256 x 128 grid their threads held 2 MB more peak RSS,
+# and saved about 0.15 s of its 1.3 s pass when a second CPU was free.
 _MIN_THREADED_CELLS = 2**14
-
-
-def _slabs(n: int, cells: int) -> list[slice]:
-    """range(n) as contiguous slices, one per worker: a single one below _MIN_THREADED_CELLS."""
-    workers = 1
-    if cells >= _MIN_THREADED_CELLS:
-        workers = min(n, _workers.usable_cpus())
-    return [slice(n * w // workers, n * (w + 1) // workers) for w in range(workers)]
 
 
 def _kg_interior(v: np.ndarray, f: LatticeField) -> np.ndarray:
@@ -222,23 +216,11 @@ def kg_apply(f: LatticeField) -> np.ndarray:
     return _kg_interior(f.values, f)
 
 
-def kg_apply_at(f: LatticeField, it: int, ix: int, iq: int) -> complex:
-    """Pointwise stencil; boundary points have no centered stencil."""
-    nt, nx, nq = f.shape
-    if not (0 < it < nt - 1 and 0 < ix < nx - 1 and 0 < iq < nq - 1):
-        raise BoundaryError(f"({it}, {ix}, {iq}) is on the grid boundary")
-    block = f.values[it - 1:it + 2, ix - 1:ix + 2, iq - 1:iq + 2]
-    return complex(_kg_interior(block, f)[0, 0, 0])
-
-
 def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
     """max |(Box + lam^2 Box_theta - m^2) phi - J| over the interior.
 
     Equal to np.abs(kg_apply(f) - J_interior).max(), NaN included, but
     evaluated one time slice at a time, so no full-grid temporary is made.
-    From _MIN_THREADED_CELLS cells per time slice on, the interior x rows are
-    split among the usable CPUs and each worker walks every time slice of its
-    own rows, so the workers' temporaries together still make one slice.
     Raises ValueError unless f and src share the grid, spacings, lam and m.
     """
     if src.shape != f.shape:
@@ -247,21 +229,12 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
     if lattice(src) != lattice(f):
         raise ValueError(f"field (dt, dx, dtheta, lam, m) = {lattice(f)} differs "
                          f"from the source's {lattice(src)}")
-
-    def rows_max(x: slice) -> float:
-        # interior rows x are grid rows x.start + 1 ... x.stop; the block
-        # adds their neighbours
-        v = f.values[:, x.start:x.stop + 2]
-        J = src.values[:, x.start + 1:x.stop + 1, 1:-1]
-        slice_max = []
-        for t in range(1, nt - 1):
-            r = _kg_interior(v[t - 1:t + 2], f)
-            r -= J[t:t + 1]
-            slice_max.append(np.abs(r).max())
-        return np.max(slice_max)
-
-    nt, nx, nq = f.shape
-    return float(np.max(_workers.run(rows_max, _slabs(nx - 2, nx * nq))))
+    slice_max = []
+    for t in range(1, f.shape[0] - 1):
+        r = _kg_interior(f.values[t - 1:t + 2], f)
+        r -= src.values[t:t + 1, 1:-1, 1:-1]
+        slice_max.append(np.abs(r).max())
+    return float(np.max(slice_max))
 
 
 def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
@@ -308,11 +281,8 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     Raises ValueError unless eps is finite and >= 0.
 
     The transforms are numpy.fft.fftn and ifftn taken one axis at a time in
-    their order (theta, x, then t).  From _MIN_THREADED_CELLS cells on, the
-    usable CPUs share them in slabs: of time slices for the theta and x
-    transforms and the division by the symbol, of x rows for the t
-    transforms.  Each line is transformed as in the full-grid call, so the
-    result is the same for any CPU count.
+    their order (theta, x, then t); each time slice is divided by the symbol
+    and taken back over theta and x while it is still in cache.
     """
     if not 0.0 <= eps < np.inf:  # False for NaN too
         raise ValueError(f"eps = {eps} must be finite and >= 0")
@@ -323,43 +293,23 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     # poles on the causal side
     w_signed = 2.0 * np.pi * np.fft.fftfreq(src.shape[0], src.dt)
     shift = 1j * eps * w_signed
-    phi = np.empty(src.shape, dtype=complex)
-    times = _slabs(src.shape[0], phi.size)
-    rows = _slabs(src.shape[1], phi.size)
-
-    def forward_slices(t: slice) -> None:
-        np.fft.fft(src.values[t], axis=2, out=phi[t])
-        np.fft.fft(phi[t], axis=1, out=phi[t])
-
-    def forward_rows(x: slice) -> None:
-        np.fft.fft(phi[:, x], axis=0, out=phi[:, x])
-
-    def divide_and_invert_slices(t: slice) -> tuple[float, float]:
-        # one time slice at a time: each slice of kg_symbol is built from the
-        # axis factors, so neither the symbol nor its regularized form ever
-        # exists as a full array
-        min_abs, scale = float("inf"), 0.0
-        for i in range(t.start, t.stop):
-            symbol = _symbol_slice(wt[i], kx, kq, src.lam, src.m)
-            abs_symbol = np.abs(symbol)
-            min_abs = min(min_abs, float(abs_symbol.min()))
-            scale = max(scale, float(abs_symbol.max()))
-            reg = symbol - shift[i]
-            reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
-            phi[i] /= reg
-        np.fft.ifft(phi[t], axis=2, out=phi[t])
-        np.fft.ifft(phi[t], axis=1, out=phi[t])
-        return min_abs, scale
-
-    def inverse_rows(x: slice) -> None:
-        np.fft.ifft(phi[:, x], axis=0, out=phi[:, x])
-
-    _workers.run(forward_slices, times)
-    _workers.run(forward_rows, rows)
-    bounds = _workers.run(divide_and_invert_slices, times)
-    _workers.run(inverse_rows, rows)
-    min_abs = min(lo for lo, _ in bounds)
-    scale = max(hi for _, hi in bounds)
+    phi = np.fft.fft(src.values, axis=2)
+    np.fft.fft(phi, axis=1, out=phi)
+    np.fft.fft(phi, axis=0, out=phi)
+    # each slice of kg_symbol is built from the axis factors, so neither the
+    # symbol nor its regularized form ever exists as a full array
+    min_abs, scale = float("inf"), 0.0
+    for t, phi_t in enumerate(phi):
+        symbol = _symbol_slice(wt[t], kx, kq, src.lam, src.m)
+        abs_symbol = np.abs(symbol)
+        min_abs = min(min_abs, float(abs_symbol.min()))
+        scale = max(scale, float(abs_symbol.max()))
+        reg = symbol - shift[t]
+        reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
+        phi_t /= reg
+        np.fft.ifft(phi_t, axis=1, out=phi_t)
+        np.fft.ifft(phi_t, axis=0, out=phi_t)
+    np.fft.ifft(phi, axis=0, out=phi)
     if min_abs < 1e-9 * scale:
         cond = scale / max(min_abs, 1e-300)
         warnings.warn(
@@ -578,7 +528,7 @@ def evolve_leapfrog(
     # both passes contiguous
     gain = np.repeat(2.0 + dt**2 * s, 2, axis=1)
     tmp = np.empty_like(gain)
-    rows = _slabs(nx, nx * nq)
+    rows = _workers.split(nx, nx * nq >= _MIN_THREADED_CELLS)
 
     def charges():
         return noether_charges(np.fft.ifft2(prev), np.fft.ifft2(cur),

@@ -311,25 +311,23 @@ def moment_oracle(
         sigma = 1.0 / math.sqrt(2.0 * lo)
         chunk = 262_144
         children = np.random.SeedSequence(seed).spawn(-(-samples // chunk))
-        workers = 1
-        if len(children) >= _MIN_THREADED_CHUNKS:
-            workers = min(len(children), _workers.usable_cpus())
+        runs = _workers.split(len(children), len(children) >= _MIN_THREADED_CHUNKS)
         # the calling thread allocates every worker's draw buffer, so that no
         # worker thread's malloc arena keeps one once the thread is done
         rows = min(chunk, samples)
-        buffers = [np.empty((rows, reads)) for _ in range(workers)]
-        values = [np.empty(rows) for _ in range(workers)] if _takes_out(f) else None
+        buffers = [np.empty((rows, reads)) for _ in runs]
+        values = [np.empty(rows) for _ in runs] if _takes_out(f) else None
         parts = [None] * len(children)  # (k, sum f/2^k, sum (f/2^k)^2) per chunk
 
         def draw(w):
-            # worker w takes chunks w, w + workers, ...; worker 0 is the
-            # calling thread
+            # worker w takes the contiguous run of chunks runs[w]; worker 0 is
+            # the calling thread
             theta_buf = buffers[w]
             # once f has read a chunk's draws, the buffer's first n floats take
             # the scaled values and then their squares; numpy copies vals first
             # where f returned a view that overlaps them
             scratch = theta_buf.reshape(-1)
-            for i in range(w, len(children), workers):
+            for i in range(runs[w].start, runs[w].stop):
                 n = min(chunk, samples - i * chunk)
                 theta = theta_buf[:n]
                 # sigma * z is what normal(0.0, sigma) computes, bit for bit
@@ -345,7 +343,7 @@ def moment_oracle(
                 scaled *= scaled
                 parts[i] = k, chunk_sum, float(scaled.sum())
 
-        _workers.run(draw, range(workers))
+        _workers.run(draw, range(len(runs)))
         # fold in chunk order at the largest chunk's scale, so the sums do not
         # depend on the thread count
         top = max(k for k, _, _ in parts)

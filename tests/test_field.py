@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dfra.field import (
-    BoundaryError,
     Charges,
     ExtendedMomentum,
     IllConditionedWarning,
@@ -21,7 +20,6 @@ from dfra.field import (
     evolve_leapfrog,
     greens_solve,
     kg_apply,
-    kg_apply_at,
     kg_symbol,
     max_stable_dt,
     moyal_star,
@@ -136,13 +134,16 @@ def test_extended_momentum_inputs_must_be_finite(name, bad):
         ExtendedMomentum(**args)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["m", "eps"])
+@pytest.mark.parametrize("name, bad", [
+    *((name, bad) for name in ("m", "eps") for bad in (np.nan, np.inf, -np.inf)),
+    ("eps", -1.0), ("eps", -1e-300),
+])
 def test_propagator_inputs_must_be_finite(name, bad):
-    # a NaN m gave G = nan+nanj
+    # a NaN m gave G = nan+nanj, and a negative eps the advanced prescription
+    # (0.3+0.1j at eps = -1 here, against 0.3-0.1j at eps = 1)
     K = ExtendedMomentum([2.0, 0.0, 0.0, 0.0], np.zeros((4, 4)), 1.0)
     args = {"m": 1.0, "eps": 0.0, name: bad}
-    with pytest.raises(ValueError, match=f"must be finite, got {name} = "):
+    with pytest.raises(ValueError, match=f"must be (finite|>= 0), got {name} = "):
         propagator(K, **args)
 
 
@@ -178,14 +179,6 @@ def test_kg_plane_wave_residual_second_order():
     ]
     for s in slopes:
         assert abs(s - 2.0) <= 0.1, (residuals, slopes)
-
-
-def test_kg_apply_at_boundary_error():
-    f = _plane_wave(8)
-    with pytest.raises(BoundaryError):
-        kg_apply_at(f, 0, 2, 2)
-    inner = kg_apply_at(f, 1, 2, 3)
-    assert inner == pytest.approx(kg_apply(f)[0, 1, 2])
 
 
 def test_lattice_field_validation():
@@ -574,28 +567,15 @@ def test_measured_frequency_matches_dispersion():
         x = dx * np.arange(n).reshape(n, 1)
         q = dtheta * np.arange(n).reshape(1, n)
         phi0 = np.exp(1j * (k * x + kappa * q))
-        probe = []
-        prev, cur = phi0, None
         phid = -1j * w * phi0
-        steps = 400
-        prev2, cur2, _ = evolve_leapfrog(
-            phi0, phid, steps, dt, dx, dtheta, lam, m, record_every=0
-        )
-        # re-run capturing the probe point each step
-        lap = lambda v: (
-            (np.roll(v, -1, 0) - 2 * v + np.roll(v, 1, 0)) / dx**2
-            + lam**2 * (np.roll(v, -1, 1) - 2 * v + np.roll(v, 1, 1)) / dtheta**2
-            - m**2 * v
-        )
-        a = phi0
-        b = phi0 + dt * phid + 0.5 * dt**2 * lap(phi0)
-        probe = [a[0, 0], b[0, 0]]
-        for _ in range(steps - 1):
-            a, b = b, 2 * b - a + dt**2 * lap(b)
-            probe.append(b[0, 0])
+        # the probe point of the last slice after each step count of a ladder;
+        # w dt is under 0.3 here, so 4 steps turn the phase by less than pi
+        ladder = np.arange(1, 401, 4)
+        probe = [evolve_leapfrog(phi0, phid, int(steps), dt, dx, dtheta, lam, m,
+                                 record_every=0)[1][0, 0] for steps in ladder]
         # the phase of exp(-i w t) falls linearly in t
         phase = np.unwrap(np.angle(probe))
-        w_meas = -np.polyfit(dt * np.arange(len(phase)), phase, 1)[0]
+        w_meas = -np.polyfit(dt * ladder, phase, 1)[0]
         return abs(w_meas - w)
 
     e1, e2 = freq_error(12), freq_error(24)

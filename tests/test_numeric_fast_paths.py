@@ -273,15 +273,7 @@ def test_slab_bounds_the_residual_memory():
     assert peak <= 8 * 4096 * 16
 
 
-def test_kg_apply_at_equals_kg_apply_at_every_interior_point():
-    rng = np.random.default_rng(9)
-    f = LatticeField(_complex_grid(rng, (7, 6, 5)), 0.13, 0.29, 0.37, 0.8, 1.1)
-    full = field.kg_apply(f)
-    for it, ix, iq in np.ndindex(*full.shape):
-        assert field.kg_apply_at(f, it + 1, ix + 1, iq + 1) == full[it, ix, iq]
-
-
-# -- the field kernels on several threads -------------------------------------------
+# -- threads ------------------------------------------------------------------------
 
 
 # 1, 2 and 3 workers, and more workers than any grid below has rows
@@ -289,8 +281,8 @@ _WORKERS = (1, 2, 3, 64)
 
 
 @contextlib.contextmanager
-def threaded_field(workers):
-    """The field kernels split among `workers` CPUs at every grid size.
+def threaded_leapfrog(workers):
+    """The leapfrog split among `workers` CPUs at every slice size.
 
     Yields the number of parts each _workers.run call was given, so a test can
     see that the split happened.  A short interpreter switch interval makes
@@ -320,9 +312,8 @@ def same_bits(a, b):
 
 
 def test_field_grids_below_the_threshold_run_on_the_calling_thread(monkeypatch):
-    # suite-all's Green's-solve grid, leapfrog slice and largest plane wave, at
-    # 2 CPUs: every _workers.run call gets a single part, which it runs on the
-    # calling thread
+    # suite-all's leapfrog slice at 2 CPUs: every _workers.run call gets a
+    # single part, which it runs on the calling thread
     monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
     splits = []
     real_run = _workers.run
@@ -332,14 +323,37 @@ def test_field_grids_below_the_threshold_run_on_the_calling_thread(monkeypatch):
         return real_run(fn, parts)
 
     monkeypatch.setattr(_workers, "run", run)
-    src = _source(np.random.default_rng(1), (24, 32, 16), 1.0, 1.0)
-    field.kg_residual_max(field.greens_solve(src), src)
     phi0, phidot0, _ = field.discrete_mode_initial((32, 16), 0.01, 0.2, 0.4, 1.0, 1.0)
     field.evolve_leapfrog(phi0, phidot0, 10, 0.01, 0.2, 0.4, 1.0, 1.0)
-    wave = field.plane_wave_mode((48, 48, 48), 1 / 48, np.pi / 24, np.pi / 24, 1.0, 1.0)
-    field.kg_residual_max(wave, _zero_source(wave))
     assert splits and set(splits) == {1}
-    assert 24 * 32 * 16 < field._MIN_THREADED_CELLS
+    assert 32 * 16 < field._MIN_THREADED_CELLS
+
+
+def test_only_the_leapfrog_and_the_monte_carlo_start_threads(monkeypatch):
+    # at 2 CPUs and 128 x 128 = _MIN_THREADED_CELLS cells per slice, the
+    # Green's solve and the residual run on the calling thread; the leapfrog
+    # on that slice and the Monte Carlo at _MIN_THREADED_CHUNKS chunks each
+    # start one helper thread
+    monkeypatch.setattr(_workers, "usable_cpus", lambda: 2)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    shape = (6, 128, 128)
+    assert shape[1] * shape[2] >= field._MIN_THREADED_CELLS
+    src = _source(np.random.default_rng(13), shape, 1.0, 1.0)
+    field.kg_residual_max(field.greens_solve(src), src)
+    assert started == []
+    phi0, phidot0, _ = field.discrete_mode_initial(shape[1:], 0.01, 0.2, 0.4, 1.0, 1.0)
+    field.evolve_leapfrog(phi0, phidot0, 3, 0.01, 0.2, 0.4, 1.0, 1.0, record_every=0)
+    assert len(started) == 1
+    oscillator.moment_oracle(oscillator.OscillatorConfig(D=2), oscillator.monomial((2,)),
+                             "monte-carlo", samples=oscillator._MIN_THREADED_CHUNKS * _CHUNK)
+    assert len(started) == 2
 
 
 @given(nx=st.integers(1, 9), nq=st.integers(1, 9), steps=st.sampled_from([1, 2, 11]),
@@ -354,54 +368,11 @@ def test_threaded_leapfrog_equals_the_serial_bits(nx, nq, steps, record_every, l
     args = (phi, phidot, steps, dt, dx, dq, lam, 1.0)
     prev, cur, series = field.evolve_leapfrog(*args, record_every=record_every)
     for workers in _WORKERS:
-        with threaded_field(workers) as splits:
+        with threaded_leapfrog(workers) as splits:
             got_prev, got_cur, got_series = field.evolve_leapfrog(*args, record_every=record_every)
         assert same_bits(got_prev, prev) and same_bits(got_cur, cur)
         assert got_series == series
         assert set(splits) <= {min(nx, workers)}
-
-
-@given(shape=_GRIDS, eps=st.sampled_from([0.0, 1e-10, 0.3]),
-       lam=st.sampled_from([0.0, 0.7]), m=st.sampled_from([0.0, 1.0]),
-       seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
-def test_threaded_greens_solve_equals_the_serial_bits(shape, eps, lam, m, seed):
-    src = _source(np.random.default_rng(seed), shape, lam, m)
-    phi, caught = _solve_recording_warnings(field.greens_solve, src, eps)
-    for workers in _WORKERS:
-        with threaded_field(workers) as splits:
-            got, got_caught = _solve_recording_warnings(field.greens_solve, src, eps)
-        assert same_bits(got.values, phi.values)
-        assert got_caught == caught
-        # time slabs, x slabs, time slabs, x slabs
-        nt, nx, _ = shape
-        assert splits == [min(nt, workers), min(nx, workers)] * 2
-
-
-@given(shape=_GRIDS, seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
-def test_threaded_residual_equals_the_serial_bits(shape, seed):
-    rng = np.random.default_rng(seed)
-    src = _source(rng, shape, 0.7, 1.0)
-    phi = LatticeField(_complex_grid(rng, shape), 0.11, 0.37, 0.41, 0.7, 1.0)
-    resid = field.kg_residual_max(phi, src)
-    for workers in _WORKERS:
-        with threaded_field(workers) as splits:
-            assert field.kg_residual_max(phi, src) == resid
-        assert splits == [min(shape[1] - 2, workers)]
-
-
-@pytest.mark.parametrize("workers", _WORKERS)
-def test_threaded_residual_propagates_a_nan_in_a_helpers_rows(workers):
-    # the last interior x row belongs to the last worker, a helper thread
-    # from 2 workers on
-    rng = np.random.default_rng(12)
-    src = _source(rng, (9, 6, 5), 0.7, 1.0)
-    values = _complex_grid(rng, (9, 6, 5))
-    values[4, 4, 2] = np.nan
-    phi = LatticeField(values, 0.11, 0.37, 0.41, 0.7, 1.0)
-    with threaded_field(workers):
-        assert math.isnan(field.kg_residual_max(phi, src))
 
 
 def _overflowing_mode(nx=8, nq=6, row=6):
@@ -420,35 +391,13 @@ def _overflowing_mode(nx=8, nq=6, row=6):
 def test_threaded_leapfrog_raises_an_overflow_in_a_helpers_rows(workers):
     # row 6 of 8 is a helper's from 2 workers on
     args = _overflowing_mode()
-    with threaded_field(workers):
+    with threaded_leapfrog(workers):
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 field.evolve_leapfrog(*args, record_every=0)
         with np.errstate(over="ignore", invalid="ignore"):
             prev, _, _ = field.evolve_leapfrog(*args, record_every=0)
     assert not np.isfinite(prev).all()
-
-
-@pytest.mark.parametrize("workers", _WORKERS)
-def test_threaded_greens_solve_warns_once_from_the_calling_thread(workers, monkeypatch):
-    # m^2 = w^2 of time slice 3 of 0-5, which a helper thread takes from 2
-    # workers on: only that slice's (x, theta) = (0, 0) mode is near resonance
-    wt = field._symbol_axes((6, 7, 5), 0.11, 0.37, 0.41)[0]
-    src = _source(np.random.default_rng(5), (6, 7, 5), 0.7, math.sqrt(wt[3]))
-    _, serial = _solve_recording_warnings(field.greens_solve, src, 1e-10)
-    threads = []
-    real_warn = warnings.warn
-
-    def warn(*args, **kwargs):
-        threads.append(threading.get_ident())
-        real_warn(*args, **kwargs)
-
-    monkeypatch.setattr(warnings, "warn", warn)
-    with threaded_field(workers):
-        _, caught = _solve_recording_warnings(field.greens_solve, src, 1e-10)
-    assert [c for c, _ in caught] == [IllConditionedWarning]
-    assert caught == serial
-    assert threads == [threading.get_ident()]
 
 
 @pytest.mark.parametrize("record_every", [-3, -1, 2.5, 1.0, "3", None])
@@ -630,19 +579,17 @@ def _zero_source(f):
     return LatticeField(np.broadcast_to(0j, f.shape), f.dt, f.dx, f.dtheta, f.lam, f.m)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [12, 24, 48])
-def test_residual_against_a_zero_source_is_max_abs_kg_apply(n, workers):
+def test_residual_against_a_zero_source_is_max_abs_kg_apply(n):
     dx = 2.0 * np.pi / n
     f = field.plane_wave_mode((n, n, n), 1.0 / n, dx, dx, 1.3, 0.7)
     noisy = LatticeField(_complex_grid(np.random.default_rng(n), f.shape), 0.11, 0.37, 0.41, 1.3, 0.7)
     nan = LatticeField(noisy.values.copy(), 0.11, 0.37, 0.41, 1.3, 0.7)
     nan.values[n // 2, n - 2, 1] = np.nan
-    with threaded_field(workers):
-        for g in (f, noisy, nan):
-            got = field.kg_residual_max(g, _zero_source(g))
-            want = float(np.abs(field.kg_apply(g)).max())
-            assert same_bits(np.float64(got), np.float64(want))
+    for g in (f, noisy, nan):
+        got = field.kg_residual_max(g, _zero_source(g))
+        want = float(np.abs(field.kg_apply(g)).max())
+        assert same_bits(np.float64(got), np.float64(want))
     assert math.isnan(got)
 
 

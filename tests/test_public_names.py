@@ -21,7 +21,6 @@ ALLOWED = {
     "matrix_to_text": GOLDEN,
     "dirac_table_dump": GOLDEN,
     "kg_apply": REFERENCE,
-    "kg_apply_at": REFERENCE,
     "scalar_action_density": REFERENCE,
     "lorentz_generator": "perfbench's algebra.derived span group names it",
     "d3": "README names the representations d1 through d5 as a range",
