@@ -579,17 +579,21 @@ def _zero_source(f):
     return LatticeField(np.broadcast_to(0j, f.shape), f.dt, f.dx, f.dtheta, f.lam, f.m)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [12, 24, 48])
-def test_residual_against_a_zero_source_is_max_abs_kg_apply(n):
+def test_residual_against_a_zero_source_is_max_abs_kg_apply(n, workers):
+    # the same bits whatever the usable CPU count, with no split of the rows
     dx = 2.0 * np.pi / n
     f = field.plane_wave_mode((n, n, n), 1.0 / n, dx, dx, 1.3, 0.7)
     noisy = LatticeField(_complex_grid(np.random.default_rng(n), f.shape), 0.11, 0.37, 0.41, 1.3, 0.7)
     nan = LatticeField(noisy.values.copy(), 0.11, 0.37, 0.41, 1.3, 0.7)
     nan.values[n // 2, n - 2, 1] = np.nan
-    for g in (f, noisy, nan):
-        got = field.kg_residual_max(g, _zero_source(g))
-        want = float(np.abs(field.kg_apply(g)).max())
-        assert same_bits(np.float64(got), np.float64(want))
+    with threaded_leapfrog(workers) as splits:
+        for g in (f, noisy, nan):
+            got = field.kg_residual_max(g, _zero_source(g))
+            want = float(np.abs(field.kg_apply(g)).max())
+            assert same_bits(np.float64(got), np.float64(want))
+    assert set(splits) <= {1}
     assert math.isnan(got)
 
 
