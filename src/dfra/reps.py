@@ -155,6 +155,8 @@ def mat_to_vec(b: np.ndarray) -> np.ndarray:
 def vec_to_mat(v) -> np.ndarray:
     """6-vector back to an antisymmetric 4x4; an exact (object) one has Fraction(0) zeros."""
     v = np.asarray(v)
+    if v.shape != (6,):
+        raise ValueError(f"v must be a 6-vector, got shape {v.shape}")
     out = np.full((4, 4), Fraction(0) if v.dtype == object else 0, v.dtype)
     out[_MU, _NU] = v
     out[_NU, _MU] = -v
@@ -211,17 +213,22 @@ class _Element:
 
     __slots__ = ("scaled",)
 
-    def _store(self, first, a, b) -> Scaled:
+    def _store(self, first, a, b, label: str) -> Scaled:
         """Read and check a and b, store all three parts; the first one back.
 
         Float parts are kept as private read-only copies: a float array
         passes through Scaled.of, so writing to the caller's array (or to a
         read-out, which is the stored array) would change a checked element.
+        They must be finite; exact parts are by construction.  label names
+        the first part in errors.
         """
         first = Scaled.of(first)
         a, b = Scaled.of(a, first.exact), Scaled.of(b, first.exact)
         if not first.exact:
             first, a, b = (Scaled(_read_only(s.num)) for s in (first, a, b))
+            for name, s in zip((label, "a", "b"), (first, a, b)):
+                if not np.isfinite(s.num).all():
+                    raise ValueError(f"{name} must be finite")
         if a.num.shape != (4,):
             raise ValueError("a must be a 4-vector")
         antisymmetric(b.num, "b")
@@ -247,7 +254,7 @@ class GroupElement(_Element):
     __slots__ = ()
 
     def __init__(self, lam, a, b):
-        _check_lorentz(self._store(lam, a, b))
+        _check_lorentz(self._store(lam, a, b, "lambda"))
 
     lam = property(lambda self: self.scaled[0].array(), doc="Lorentz matrix")
 
@@ -346,7 +353,7 @@ class InfinitesimalElement(_Element):
     __slots__ = ()
 
     def __init__(self, omega, a, b):
-        omega = self._store(omega, a, b)
+        omega = self._store(omega, a, b, "omega")
         if omega.num.shape != (4, 4):
             raise ValueError("omega must be 4x4")
         antisymmetric((omega @ _eta(omega)).num, "omega^{mu nu}")
@@ -617,6 +624,7 @@ class SampledField:
     values has 10 axes: four x axes then six theta axes in PAIRS order.
     Size-1 axes mean the field is constant along that direction (the
     derivative is zero); size-2 axes cannot support the central stencil.
+    The origin must be finite and every spacing finite and positive.
     """
 
     values: np.ndarray
@@ -628,6 +636,10 @@ class SampledField:
             raise ValueError("values must have 10 axes (4 x + 6 theta)")
         if len(self.origin) != 10 or len(self.spacing) != 10:
             raise ValueError("origin and spacing must have 10 entries")
+        if not all(map(math.isfinite, self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not all(math.isfinite(h) and h > 0 for h in self.spacing):
+            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Coordinate along one axis, broadcastable against values."""

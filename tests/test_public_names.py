@@ -54,14 +54,15 @@ DEFINITIONS = {
     for node in tree.body
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
 }
+# each top-level statement with the identifiers it refers to
+STATEMENTS = [(node, _named(node)) for tree in TREES.values() for node in tree.body]
 
 
 def test_every_public_name_has_a_caller_or_a_stated_reason():
     readme = (ROOT / "README.md").read_text()
     unused = []
     for name, (module, definition) in DEFINITIONS.items():
-        named = any(name in _named(node) for tree in TREES.values()
-                    for node in tree.body if node is not definition)
+        named = any(name in names for node, names in STATEMENTS if node is not definition)
         if not (named or re.search(rf"\b{name}\b", readme) or name in ALLOWED):
             unused.append(f"{module}: {name}")
     assert not unused, f"public names that only tests use: {unused}"

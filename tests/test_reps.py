@@ -86,6 +86,12 @@ def test_pair_basis_round_trip():
     assert all(type(x) is Fraction for x in m.flat)
 
 
+@pytest.mark.parametrize("v", [[5.0], np.zeros(5), np.zeros(7), np.zeros((1, 6))])
+def test_vec_to_mat_takes_exactly_six_entries(v):
+    with pytest.raises(ValueError, match="6-vector"):
+        vec_to_mat(v)
+
+
 def test_d_matrices_at_identity():
     g = GroupElement.identity()
     assert np.array_equal(d1(g), np.eye(4))
@@ -113,6 +119,20 @@ def test_antisymmetric_validator_exact_and_float():
 def test_group_element_rejects_non_lorentz():
     with pytest.raises(ValueError):
         GroupElement(np.eye(4) * 2.0, np.zeros(4), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("element, part, label", [
+    (GroupElement, 0, "lambda"), (GroupElement, 1, "a"), (GroupElement, 2, "b"),
+    (InfinitesimalElement, 0, "omega"), (InfinitesimalElement, 1, "a"),
+    (InfinitesimalElement, 2, "b"),
+])
+def test_float_elements_reject_a_non_finite_part(element, part, label, value):
+    first = np.eye(4) if element is GroupElement else np.zeros((4, 4))
+    parts = [first, np.zeros(4), np.zeros((4, 4))]
+    parts[part][(0,) * parts[part].ndim] = value
+    with pytest.raises(ValueError, match=f"^{label} must be finite"):
+        element(*parts)
 
 
 @pytest.mark.parametrize("axis", [-1, 0, 4])
@@ -537,6 +557,15 @@ def test_transform_theta_translation():
     e = InfinitesimalElement(np.zeros((4, 4)), np.zeros(4),
                              vec_to_mat([2.0, 0, 0, 0, 0, 0]))
     assert np.allclose(scalar_field_transform(e, f), -6.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("origin, spacing, part", [
+    (math.nan, 1.0, "origin"), (-math.inf, 1.0, "origin"), (0.0, -1.0, "spacing"),
+    (0.0, 0.0, "spacing"), (0.0, math.nan, "spacing"), (0.0, math.inf, "spacing"),
+])
+def test_sampled_field_rejects_a_bad_origin_or_spacing(origin, spacing, part):
+    with pytest.raises(ValueError, match=f"^{part} must be finite"):
+        SampledField(np.zeros((3,) + (1,) * 9), (origin,) + (0.0,) * 9, (spacing,) + (1.0,) * 9)
 
 
 def test_transform_needs_stencil():
