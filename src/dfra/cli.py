@@ -609,11 +609,13 @@ def field_suite(p: dict):
 def _greens_residual(shape: tuple[int, int, int], lam: float, m: float) -> float:
     """kg_residual_max of greens_solve's field for a point source, per unit amplitude.
 
-    The source and the field are grid-sized (50 MB each at 96 x 256 x 128)
-    and are freed when this returns, before the field suite's leapfrog runs.
+    The source is real, so the field is float64, held in greens_solve's
+    half-spectrum buffer (26 MB at 96 x 256 x 128).  The source is np.zeros:
+    apart from the point's, its pages are only read, so they stay out of RSS.
+    Both are freed when this returns, before the field suite's leapfrog runs.
     """
     amplitude = 1.0
-    J = np.zeros(shape, dtype=complex)
+    J = np.zeros(shape)
     J[shape[0] // 3, shape[1] // 2, shape[2] // 2] = amplitude
     src = field.SourceTerm(J, 0.11, 0.37, 0.41, lam, m)
     with warnings.catch_warnings():

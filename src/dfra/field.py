@@ -140,8 +140,9 @@ def _require_finite(**values) -> None:
 
 @dataclass(frozen=True)
 class LatticeField:
-    """Complex samples on the (t, x, theta) grid, with spacings and masses.
+    """Real or complex samples on the (t, x, theta) grid, with spacings and masses.
 
+    Complex values are kept as complex128 and any other values as float64.
     Raises ValueError unless the spacings are finite and positive and lam
     and m are finite.
     """
@@ -154,9 +155,8 @@ class LatticeField:
     m: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=complex)
-        )
+        dtype = complex if np.iscomplexobj(self.values) else float
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=dtype))
         if self.values.ndim != 3:
             raise ValueError("values must be (t, x, theta)")
         if min(self.values.shape) < 5:
@@ -186,8 +186,9 @@ class SourceTerm(LatticeField):
 # many cells of one (x, theta) slice on; below it, it runs on the calling
 # thread alone.  suite-all's 32 x 16 slice stays below it.  The Green's solve
 # and the residual run on the calling thread at every size: on
-# numeric-oracles' 96 x 256 x 128 grid their threads held 2 MB more peak RSS,
-# and saved about 0.15 s of its 1.3 s pass when a second CPU was free.
+# numeric-oracles' 96 x 256 x 128 grid the solve of a real source takes
+# 0.08-0.15 s on one thread, less than a two-thread split of the complex
+# transform took (0.18-0.20 s).
 _MIN_THREADED_CELLS = 2**14
 
 
@@ -221,6 +222,7 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
 
     Equal to np.abs(kg_apply(f) - J_interior).max(), NaN included, but
     evaluated one time slice at a time, so no full-grid temporary is made.
+    Either may be real or complex; a real f is never cast to complex.
     Raises ValueError unless f and src share the grid, spacings, lam and m.
     """
     if src.shape != f.shape:
@@ -231,8 +233,7 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
                          f"from the source's {lattice(src)}")
     slice_max = []
     for t in range(1, f.shape[0] - 1):
-        r = _kg_interior(f.values[t - 1:t + 2], f)
-        r -= src.values[t:t + 1, 1:-1, 1:-1]
+        r = _kg_interior(f.values[t - 1:t + 2], f) - src.values[t:t + 1, 1:-1, 1:-1]
         slice_max.append(np.abs(r).max())
     return float(np.max(slice_max))
 
@@ -277,46 +278,84 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     Solves (Box + lam^2 Box_theta - m^2) phi = J on the periodic grid;
     the pole shift eps enters as +i eps w with w the signed frequency,
     displacing both K^0 = +-omega poles causally.  Near-resonant modes
-    trigger an ill-conditioning warning carrying the condition number.
-    Raises ValueError unless eps is finite and >= 0.
+    trigger an ill-conditioning warning carrying the condition number, once
+    per call.  Raises ValueError unless eps is finite and >= 0.
 
-    The transforms are numpy.fft.fftn and ifftn taken one axis at a time in
-    their order (theta, x, then t); each time slice is divided by the symbol
-    and taken back over theta and x while it is still in cache.
+    The regularized symbol is Hermitian (its value at -K is the conjugate of
+    its value at K), so a real source has a real field, and the field of a
+    real source is float64.  A complex source is solved as
+    solve(Re J) + i solve(Im J).  Two kinds of mode are their own mirror
+    image and get a real regularized symbol:
+    - the t-Nyquist plane of an even nt, whose signed frequency is taken as
+      0, the mean of its two aliases +-pi/dt, so it is not shifted;
+    - a mode whose regularized symbol is exactly zero (m = 0 and eps = 0 at
+      the zero mode, say).  It is inverted by the pseudo-inverse: its field
+      amplitude is 0.
     """
     if not 0.0 <= eps < np.inf:  # False for NaN too
         raise ValueError(f"eps = {eps} must be finite and >= 0")
-    wt, kx, kq = _symbol_axes(src.shape, src.dt, src.dx, src.dtheta)
-    # plane waves here are exp(+i w t) (the inverse-FFT convention), so the
-    # retarded prescription moves the poles to w = +-omega + i eps, i.e.
-    # symbol(w - i eps) ~ symbol - 2 i eps w; the signed frequency keeps both
-    # poles on the causal side
-    w_signed = 2.0 * np.pi * np.fft.fftfreq(src.shape[0], src.dt)
-    shift = 1j * eps * w_signed
-    phi = np.fft.fft(src.values, axis=2)
-    np.fft.fft(phi, axis=1, out=phi)
-    np.fft.fft(phi, axis=0, out=phi)
-    # each slice of kg_symbol is built from the axis factors, so neither the
-    # symbol nor its regularized form ever exists as a full array
-    min_abs, scale = float("inf"), 0.0
-    for t, phi_t in enumerate(phi):
-        symbol = _symbol_slice(wt[t], kx, kq, src.lam, src.m)
-        abs_symbol = np.abs(symbol)
-        min_abs = min(min_abs, float(abs_symbol.min()))
-        scale = max(scale, float(abs_symbol.max()))
-        reg = symbol - shift[t]
-        reg[np.abs(reg) == 0.0] = 1j * max(eps, 1e-300)
-        phi_t /= reg
-        np.fft.ifft(phi_t, axis=1, out=phi_t)
-        np.fft.ifft(phi_t, axis=0, out=phi_t)
-    np.fft.ifft(phi, axis=0, out=phi)
-    if min_abs < 1e-9 * scale:
-        cond = scale / max(min_abs, 1e-300)
+    J = src.values
+    if np.iscomplexobj(J):
+        phi = np.empty(src.shape, dtype=complex)
+        phi.real, cond = _greens_solve_real(J.real, src, eps)
+        phi.imag, _ = _greens_solve_real(J.imag, src, eps)
+    else:
+        phi, cond = _greens_solve_real(J, src, eps)
+    if cond is not None:
         warnings.warn(
             f"near-resonant lattice mode; condition number {cond:.3e}",
             IllConditionedWarning,
         )
     return LatticeField(phi, src.dt, src.dx, src.dtheta, src.lam, src.m)
+
+
+def _greens_solve_real(J: np.ndarray, src: SourceTerm, eps: float):
+    """(phi, condition number or None) for a real source J on src's lattice.
+
+    J's spectrum is Hermitian, so only its nq // 2 + 1 non-negative theta
+    columns are kept: rfft over theta into one complex buffer, then fft over
+    x and t in place.  Each time slice is divided by the regularized symbol
+    and taken back over x; one ifft over t follows.  irfft then takes one time
+    slice at a time into the float64 view of the same buffer.  A spectrum row
+    of nq // 2 + 1 complex entries holds more than nq floats, so output slice
+    t ends before spectrum slice t + 1 begins: it overwrites only slices that
+    have been read, and the field needs no second grid-sized array.
+    """
+    nt, nx, nq = J.shape
+    wt, kx, kq = _symbol_axes(J.shape, src.dt, src.dx, src.dtheta)
+    kq = kq[:nq // 2 + 1]
+    # plane waves here are exp(+i w t) (the inverse-FFT convention), so the
+    # retarded prescription moves the poles to w = +-omega + i eps, i.e.
+    # symbol(w - i eps) ~ symbol - 2 i eps w; the signed frequency keeps both
+    # poles on the causal side
+    w_signed = 2.0 * np.pi * np.fft.fftfreq(nt, src.dt)
+    if nt % 2 == 0:
+        w_signed[nt // 2] = 0.0
+    shift = 1j * eps * w_signed
+    spec = np.fft.rfft(J, axis=2, out=np.empty((nt, nx, len(kq)), dtype=complex))
+    np.fft.fft(spec, axis=1, out=spec)
+    np.fft.fft(spec, axis=0, out=spec)
+    # each slice of kg_symbol is built from the axis factors, so neither the
+    # symbol nor its regularized form ever exists as a full array; the symbol
+    # is even in k_theta, so its half columns hold all its magnitudes, up to
+    # the rounding of sin(pi j / nq) against sin(pi (nq - j) / nq)
+    min_abs, scale = float("inf"), 0.0
+    for t, spec_t in enumerate(spec):
+        symbol = _symbol_slice(wt[t], kx, kq, src.lam, src.m)
+        abs_symbol = np.abs(symbol)
+        min_abs = min(min_abs, float(abs_symbol.min()))
+        scale = max(scale, float(abs_symbol.max()))
+        reg = symbol - shift[t]
+        reg[reg == 0] = np.inf
+        spec_t /= reg
+        np.fft.ifft(spec_t, axis=0, out=spec_t)
+    np.fft.ifft(spec, axis=0, out=spec)
+    phi = spec.view(np.float64).reshape(-1)[:J.size].reshape(J.shape)
+    row = np.empty((nx, nq))
+    for t in range(nt):
+        phi[t] = np.fft.irfft(spec[t], nq, axis=1, out=row)
+    cond = scale / max(min_abs, 1e-300) if min_abs < 1e-9 * scale else None
+    return phi, cond
 
 
 # ---------------------------------------------------------------------------

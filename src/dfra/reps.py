@@ -148,8 +148,13 @@ def pair_slot(mu: int, nu: int) -> tuple[int, int]:
 
 
 def mat_to_vec(b: np.ndarray) -> np.ndarray:
-    """Antisymmetric 4x4 to 6-vector over the canonical basis."""
-    return np.asarray(b)[_MU, _NU]
+    """Antisymmetric 4x4 to 6-vector over the canonical basis, in b's dtype.
+
+    Raises ValueError unless b passes antisymmetric's check.
+    """
+    b = np.asarray(b)
+    antisymmetric(b, "b")
+    return b[_MU, _NU]
 
 
 def vec_to_mat(v) -> np.ndarray:

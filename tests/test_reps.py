@@ -92,6 +92,33 @@ def test_vec_to_mat_takes_exactly_six_entries(v):
         vec_to_mat(v)
 
 
+def _off_by(m, entry, delta):
+    m = np.array(m)
+    m[entry] += delta
+    return m
+
+
+_PAIR = vec_to_mat(np.arange(1.0, 7.0))
+_EXACT_PAIR = vec_to_mat(np.array([Fraction(k, 3) for k in range(1, 7)], dtype=object))
+
+
+@pytest.mark.parametrize("b", [
+    np.arange(25.0).reshape(5, 5), np.ones((4, 4)), np.zeros((3, 3)), np.zeros(6),
+    _off_by(_PAIR, (0, 1), 1e-3),  # outside np.allclose's default rtol of 1e-5
+    _off_by(_EXACT_PAIR, (2, 3), Fraction(1, 10**30)),  # exact input is checked exactly
+], ids=["5x5", "ones", "3x3", "6-vector", "float-off-by-1e-3", "exact-off-by-1e-30"])
+def test_mat_to_vec_takes_only_an_antisymmetric_4x4(b):
+    with pytest.raises(ValueError, match="4x4|antisymmetric"):
+        mat_to_vec(b)
+
+
+def test_mat_to_vec_accepts_float_rounding_and_keeps_the_dtype():
+    # within antisymmetric's np.allclose, like every float pair check
+    assert np.array_equal(mat_to_vec(_off_by(_PAIR, (0, 1), 1e-14)), [1.0 + 1e-14, 2, 3, 4, 5, 6])
+    assert mat_to_vec(_EXACT_PAIR).dtype == object
+    assert mat_to_vec(vec_to_mat(np.arange(6))).dtype == np.arange(6).dtype
+
+
 def test_d_matrices_at_identity():
     g = GroupElement.identity()
     assert np.array_equal(d1(g), np.eye(4))
