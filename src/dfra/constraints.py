@@ -192,7 +192,9 @@ class DiracBracket:
     the other side comes from the same column, {Xi^b, B} = -{B, Xi^b}; so a
     run of brackets with shared arguments (all pairs of generators, one
     argument against every constraint) brackets each argument with the
-    constraints once.  The memo holds only expressions, which are immutable
+    constraints once.  An argument's hash is built on its first lookup and
+    kept with it, so a repeated lookup costs a dict probe and an equality
+    test.  The memo holds only expressions, which are immutable
     and exact, and a cached column equals a fresh one, so instances behave
     as immutable and stay safe to share.
     """

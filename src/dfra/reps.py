@@ -44,6 +44,21 @@ _NU = np.array([nu for _, nu in PAIRS])
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
+def _rational(x, label: str) -> Fraction:
+    """x read exactly as a Fraction; a float reads as its exact binary value.
+
+    A NaN or infinite x is a ValueError saying that label must be finite.
+    """
+    try:
+        return Fraction(x)
+    except OverflowError:
+        pass
+    except ValueError:
+        if x == x:  # not a NaN: some other unreadable value
+            raise
+    raise ValueError(f"{label} must be finite, got {x!r}") from None
+
+
 class Scaled:
     """Rational array num / den over one denominator.
 
@@ -62,12 +77,13 @@ class Scaled:
         self.den = den
 
     @staticmethod
-    def of(m, exact: bool | None = None) -> "Scaled":
+    def of(m, exact: bool | None = None, label: str = "entries") -> "Scaled":
         """m over the least common denominator of its entries.
 
         exact defaults to whether m is an object array.  Exact entries are
-        read with Fraction() (ints, Fractions and floats alike), the others
-        as floats.  A Scaled form of the asked kind passes through.
+        read with _rational (ints, Fractions and finite floats alike; a NaN
+        or infinite entry is a ValueError naming label), the others as
+        floats.  A Scaled form of the asked kind passes through.
         """
         if isinstance(m, Scaled):
             if exact in (None, m.exact):
@@ -78,7 +94,7 @@ class Scaled:
             exact = m.dtype == object
         if not exact:
             return Scaled(np.asarray(m, dtype=float))
-        q = [v if isinstance(v, Fraction) else Fraction(v) for v in m.flat]
+        q = [v if isinstance(v, Fraction) else _rational(v, label) for v in m.flat]
         den = math.lcm(*(int(v.denominator) for v in q))
         num = [int(v.numerator) * (den // int(v.denominator)) for v in q]
         return Scaled(np.array(num, dtype=object).reshape(m.shape), den)
@@ -171,12 +187,13 @@ def vec_to_mat(v) -> np.ndarray:
 def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
     """m as an n x n array, after checking that it is antisymmetric.
 
-    exact=True reads the entries as Fractions.  Exact (object) arrays must
+    exact=True reads the entries as Fractions with _rational, so a NaN or
+    infinite entry is a ValueError naming label.  Exact (object) arrays must
     be antisymmetric entry for entry; any other input is read as floats and
     checked with np.allclose at atol 1e-12.
     """
     if exact:
-        m = np.array([[Fraction(v) for v in row] for row in m], dtype=object)
+        m = np.array([[_rational(v, label) for v in row] for row in m], dtype=object)
     elif not (isinstance(m, np.ndarray) and m.dtype == object):
         m = np.asarray(m, dtype=float)
     if m.shape != (n, n):
@@ -224,11 +241,11 @@ class _Element:
         Float parts are kept as private read-only copies: a float array
         passes through Scaled.of, so writing to the caller's array (or to a
         read-out, which is the stored array) would change a checked element.
-        They must be finite; exact parts are by construction.  label names
-        the first part in errors.
+        Every part must be finite: float parts are checked here, exact ones
+        as Scaled.of reads them.  label names the first part in errors.
         """
-        first = Scaled.of(first)
-        a, b = Scaled.of(a, first.exact), Scaled.of(b, first.exact)
+        first = Scaled.of(first, label=label)
+        a, b = Scaled.of(a, first.exact, "a"), Scaled.of(b, first.exact, "b")
         if not first.exact:
             first, a, b = (Scaled(_read_only(s.num)) for s in (first, a, b))
             for name, s in zip((label, "a", "b"), (first, a, b)):
@@ -298,26 +315,26 @@ def _blocks(n: int, blocks, one: bool = True) -> Scaled:
     return Scaled(out, den)
 
 
-_X, _TH = slice(0, 4), slice(4, 10)
+_X, _TH, _SIX = slice(0, 4), slice(4, 10), slice(0, 6)
+
+# Each block builder takes the parts it is made of, so that scaled_reps
+# computes d2 and vec(b) once for both d4 and d5.
 
 
-def _d2(g: GroupElement) -> Scaled:
-    lam = g.scaled[0]
+def _d2(lam: Scaled) -> Scaled:
     return Scaled(_minors(lam.num, lam.num), lam.den**2)
 
 
-def _d3(g: GroupElement) -> Scaled:
-    lam, a, _ = g.scaled
+def _d3(lam: Scaled, a: Scaled) -> Scaled:
     return _blocks(5, ((_X, _X, lam), (_X, 4, a)))
 
 
-def _d4(g: GroupElement) -> Scaled:
-    return _blocks(7, ((slice(0, 6), slice(0, 6), _d2(g)), (slice(0, 6), 6, _vec(g.scaled[2]))))
+def _d4(m2: Scaled, vb: Scaled) -> Scaled:
+    return _blocks(7, ((_SIX, _SIX, m2), (_SIX, 6, vb)))
 
 
-def _d5(g: GroupElement) -> Scaled:
-    lam, a, b = g.scaled
-    return _blocks(11, ((_X, _X, lam), (_TH, _TH, _d2(g)), (_X, 10, a), (_TH, 10, _vec(b))))
+def _d5(lam: Scaled, a: Scaled, m2: Scaled, vb: Scaled) -> Scaled:
+    return _blocks(11, ((_X, _X, lam), (_TH, _TH, m2), (_X, 10, a), (_TH, 10, vb)))
 
 
 def d1(g: GroupElement) -> np.ndarray:
@@ -325,24 +342,28 @@ def d1(g: GroupElement) -> np.ndarray:
 
 
 def d2(g: GroupElement) -> np.ndarray:
-    return _d2(g).array()
+    return _d2(g.scaled[0]).array()
 
 
 def d3(g: GroupElement) -> np.ndarray:
-    return _d3(g).array()
+    return _d3(*g.scaled[:2]).array()
 
 
 def d4(g: GroupElement) -> np.ndarray:
-    return _d4(g).array()
+    lam, _, b = g.scaled
+    return _d4(_d2(lam), _vec(b)).array()
 
 
 def d5(g: GroupElement) -> np.ndarray:
-    return _d5(g).array()
+    lam, a, b = g.scaled
+    return _d5(lam, a, _d2(lam), _vec(b)).array()
 
 
 def scaled_reps(g: GroupElement) -> tuple[Scaled, ...]:
     """d1..d5 of g as Scaled forms, for group-law checks without Fractions."""
-    return (g.scaled[0], _d2(g), _d3(g), _d4(g), _d5(g))
+    lam, a, b = g.scaled
+    m2, vb = _d2(lam), _vec(b)
+    return (lam, m2, _d3(lam, a), _d4(m2, vb), _d5(lam, a, m2, vb))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +393,7 @@ class InfinitesimalElement(_Element):
     @staticmethod
     def from_antisymmetric(omega_upper, a=None, b=None) -> "InfinitesimalElement":
         """Build from antisymmetric omega^{mu nu}, lowering the second index."""
-        omega_upper = Scaled.of(omega_upper)
+        omega_upper = Scaled.of(omega_upper, label="omega^{mu nu}")
         a = np.zeros(4) if a is None else a
         b = np.zeros((4, 4)) if b is None else b
         return InfinitesimalElement(omega_upper @ _eta(omega_upper), a, b)
@@ -413,24 +434,14 @@ def generator_matrix(e: InfinitesimalElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact Lorentz elements
 
-_PYTHAGOREAN = ((Fraction(3, 5), Fraction(4, 5)),
-                (Fraction(5, 13), Fraction(12, 13)),
-                (Fraction(8, 17), Fraction(15, 17)),
-                (Fraction(7, 25), Fraction(24, 25)))
+# primitive Pythagorean triples (c, s, r): the rotations with cos c/r, sin s/r
+_PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
 
 
 def _check_axes(*axes: int) -> None:
     """Spatial axes must lie in {1, 2, 3} and differ from each other."""
     if any(ax not in (1, 2, 3) for ax in axes) or len(set(axes)) != len(axes):
         raise ValueError(f"spatial axes must be distinct and in 1..3, got {axes}")
-
-
-def _rational(x, label: str) -> Fraction:
-    """x read exactly as a Fraction; a float reads as its exact binary value."""
-    try:
-        return Fraction(x)
-    except OverflowError:
-        raise ValueError(f"{label} must be finite, got {x!r}") from None
 
 
 def exact_rotation(i: int, j: int, cos_sin: tuple[Fraction, Fraction]) -> np.ndarray:
@@ -463,20 +474,49 @@ def exact_boost(axis: int, t: Fraction) -> np.ndarray:
     return lam
 
 
+def _rotation_form(i: int, j: int, c: int, s: int, r: int) -> Scaled:
+    """exact_rotation(i, j, (c/r, s/r)) as an integer form; c^2 + s^2 must be r^2."""
+    if c * c + s * s != r * r:
+        raise ValueError("c^2 + s^2 must equal r^2 exactly")
+    num = _EYE4.num * r
+    num[i, i] = num[j, j] = c
+    num[i, j], num[j, i] = -s, s
+    return Scaled(num, r)
+
+
+def _boost_form(axis: int, k: int, n: int) -> Scaled:
+    """exact_boost(axis, k/n) as an integer form; |k| < n, that is |t| < 1.
+
+    cosh and sinh are (n^2 + k^2) / (n^2 - k^2) and 2 n k / (n^2 - k^2).
+    """
+    if not abs(k) < n:
+        raise ValueError("|k| must be < n")
+    num = _EYE4.num * (n * n - k * k)
+    num[0, 0] = num[axis, axis] = n * n + k * k
+    num[0, axis] = num[axis, 0] = 2 * n * k
+    return Scaled(num, n * n - k * k)
+
+
 def random_exact_element(rng) -> GroupElement:
-    """Random exact group element: products of rational rotations and boosts."""
+    """Random exact group element: products of rational rotations and boosts.
+
+    Each factor, a and b are built as integer Scaled forms (the factors
+    equal exact_rotation's and exact_boost's matrices), so no Fraction is
+    made; the rng draws are those of the Fraction construction.
+    """
     lam = _EYE4
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             i, j = rng.sample([1, 2, 3], 2)
-            cs = rng.choice(_PYTHAGOREAN)
-            factor = exact_rotation(min(i, j), max(i, j), cs)
+            factor = _rotation_form(min(i, j), max(i, j), *rng.choice(_PYTHAGOREAN))
         else:
-            factor = exact_boost(rng.randint(1, 3), Fraction(rng.randint(-3, 3), 7))
-        lam = lam @ Scaled.of(factor)
-    a = np.array([Fraction(rng.randint(-6, 6), 3) for _ in range(4)], dtype=object)
-    b = np.array([Fraction(rng.randint(-6, 6), 2) for _ in PAIRS], dtype=object)
-    return GroupElement(lam, a, vec_to_mat(b))
+            factor = _boost_form(rng.randint(1, 3), rng.randint(-3, 3), 7)
+        lam = lam @ factor
+    a = np.array([rng.randint(-6, 6) for _ in range(4)], dtype=object)
+    v = np.array([rng.randint(-6, 6) for _ in PAIRS], dtype=object)
+    b = np.zeros((4, 4), dtype=object)
+    b[_MU, _NU], b[_NU, _MU] = v, -v
+    return GroupElement(lam, Scaled(a, 3), Scaled(b, 2))
 
 
 # [13/13] Pade approximant of exp: numerator coefficients b_0..b_13; the

@@ -349,10 +349,13 @@ class Expression:
     Words are held as tuples of generator codes, coefficients as nonzero
     GaussRats; `terms` reads them out with Generator words.  The set of
     codes an expression mentions is built on first use and kept, so a
-    table's universe check is one frozenset subset test.
+    table's universe check is one frozenset subset test.  So is the hash:
+    an expression never changes, so the kept hash equals a fresh one, and
+    a memo keyed by expressions (DiracBracket's columns) pays for the
+    frozenset of terms once per expression, not once per lookup.
     """
 
-    __slots__ = ("_terms", "_codes")
+    __slots__ = ("_terms", "_codes", "_hash")
 
     def __init__(self, terms: Mapping[Word, Scalar] | None = None):
         clean: dict[Codes, GaussRat] = {}
@@ -363,6 +366,7 @@ class Expression:
                     clean[_encode(word)] = coeff
         self._terms = clean
         self._codes = None
+        self._hash = None
 
     def __reduce__(self):
         # codes are process-local: pickle the Generator words
@@ -470,10 +474,15 @@ class Expression:
         return self._terms == other._terms
 
     def __hash__(self):
-        # a scalar expression hashes like the coefficient it equals
-        if self.is_scalar():
-            return hash(self.scalar_part())
-        return hash(frozenset(self._terms.items()))
+        h = self._hash
+        if h is None:
+            # a scalar expression hashes like the coefficient it equals
+            if self.is_scalar():
+                h = hash(self.scalar_part())
+            else:
+                h = hash(frozenset(self._terms.items()))
+            self._hash = h
+        return h
 
     def __repr__(self):
         return f"Expression({format_expression(self)!r})"
@@ -491,6 +500,7 @@ def _expr(terms: dict[Codes, GaussRat], codes: frozenset[int] | None = None) -> 
     e = object.__new__(Expression)
     e._terms = terms
     e._codes = codes
+    e._hash = None
     return e
 
 

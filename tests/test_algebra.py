@@ -143,6 +143,13 @@ def test_rotate_rejects_bad_epsilon():
         algebra.rotate(ALG3, [[0, 1, 0], [1, 0, 0], [0, 0, 0]], ALG3.x(1))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_rotate_rejects_a_non_finite_epsilon(value):
+    eps = [[0, value, 0], [-value, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValueError, match="^epsilon must be finite"):
+        algebra.rotate(ALG3, eps, ALG3.x(1))
+
+
 def test_rotation_full_multiplet_d3():
     """Every line of the infinitesimal rotation table, for generic eps."""
     eps = [

@@ -109,8 +109,8 @@ def _ref_random_exact_element(rng):
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.5:
             i, j = rng.sample([1, 2, 3], 2)
-            cs = rng.choice(reps._PYTHAGOREAN)
-            factor = exact_rotation(min(i, j), max(i, j), cs)
+            c, s, r = rng.choice(reps._PYTHAGOREAN)
+            factor = exact_rotation(min(i, j), max(i, j), (Fraction(c, r), Fraction(s, r)))
         else:
             factor = exact_boost(rng.randint(1, 3), Fraction(rng.randint(-3, 3), 7))
         lam = lam.dot(factor)
@@ -236,6 +236,53 @@ def test_random_exact_element_makes_the_same_draws(seed):
         for got, want in zip((g.lam, g.a, g.b), _ref_random_exact_element(ref_rng)):
             assert _fraction_equal(got, want)
     assert rng.getstate() == ref_rng.getstate()
+
+
+@given(axes=st.permutations([1, 2, 3]), triple=st.sampled_from(_TRIPLES),
+       swap=st.booleans(), sign=st.sampled_from([1, -1]))
+@settings(max_examples=40, deadline=None)
+def test_integer_rotation_equals_exact_rotation(axes, triple, swap, sign):
+    i, j = axes[:2]
+    p, q, r = triple
+    c, s = (q, p) if swap else (p, q)
+    form = reps._rotation_form(i, j, c, sign * s, r)
+    assert form.exact and all(type(v) is int for v in form.num.flat)
+    assert form.equals(Scaled.of(exact_rotation(i, j, (Fraction(c, r), Fraction(sign * s, r)))))
+    with pytest.raises(ValueError):
+        reps._rotation_form(i, j, c + 1, s, r)
+
+
+@given(axis=st.integers(1, 3), n=st.integers(1, 30), k=st.integers(-40, 40))
+@settings(max_examples=60, deadline=None)
+def test_integer_boost_equals_exact_boost(axis, n, k):
+    if abs(k) >= n:  # |t| >= 1 is rejected by both
+        with pytest.raises(ValueError):
+            reps._boost_form(axis, k, n)
+        with pytest.raises(ValueError):
+            exact_boost(axis, Fraction(k, n))
+        return
+    form = reps._boost_form(axis, k, n)
+    assert form.exact and all(type(v) is int for v in form.num.flat)
+    assert form.equals(Scaled.of(exact_boost(axis, Fraction(k, n))))
+
+
+@given(seed=st.integers(0, 2**32), exact=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_scaled_reps_equal_each_representation_built_alone(seed, exact):
+    rng = random.Random(seed)
+    if exact:
+        g1, g2 = random_exact_element(rng), random_exact_element(rng)
+    else:
+        g1, g2 = _float_element(seed), _float_element(seed + 1)
+    for g in (g1, g2, compose(g1, g2)):
+        lam, a, b = g.scaled
+        alone = (lam, reps._d2(lam), reps._d3(lam, a),
+                 reps._d4(reps._d2(lam), reps._vec(b)),
+                 reps._d5(lam, a, reps._d2(lam), reps._vec(b)))
+        for rep, form, one in zip((d1, d2, d3, d4, d5), scaled_reps(g), alone):
+            assert form.equals(one) and form.equals(Scaled.of(rep(g))), rep.__name__
+            if not exact:  # the float forms are the same doubles
+                assert _bit_equal(form.array(), one.array()), rep.__name__
 
 
 # -- the float path is bit for bit the float definition -------------------------------------

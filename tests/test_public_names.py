@@ -16,6 +16,7 @@ MODULES = sorted((ROOT / "src" / "dfra").glob("*.py"))
 GOLDEN = "tests/goldens pins its output"
 REFERENCE = "tests use it as a reference for the lattice operator"
 PAPER = "a formula of the paper that a report record may certify"
+PINNED = "the Fraction definition that random_exact_element's integer forms are pinned to"
 
 ALLOWED = {
     "matrix_to_text": GOLDEN,
@@ -25,6 +26,8 @@ ALLOWED = {
     "lorentz_generator": "perfbench's algebra.derived span group names it",
     "d3": "README names the representations d1 through d5 as a range",
     "d4": "README names the representations d1 through d5 as a range",
+    "exact_rotation": PINNED,
+    "exact_boost": PINNED,
     "energy": PAPER,
     "level_degeneracy": PAPER,
     "lorentz_transform": PAPER,

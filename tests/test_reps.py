@@ -162,6 +162,40 @@ def test_float_elements_reject_a_non_finite_part(element, part, label, value):
         element(*parts)
 
 
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+@pytest.mark.parametrize("part, label", [(0, "lambda"), (1, "a"), (2, "b")])
+def test_exact_group_element_rejects_a_non_finite_part(part, label, value):
+    parts = [np.identity(4, dtype=int).astype(object), np.zeros(4, dtype=object),
+             np.zeros((4, 4), dtype=object)]
+    parts[part][(0,) * parts[part].ndim] = value
+    with pytest.raises(ValueError, match=f"^{label} must be finite"):
+        GroupElement(*parts)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_from_antisymmetric_rejects_a_non_finite_exact_omega(value):
+    w = np.zeros((4, 4), dtype=object)
+    w[0, 1], w[1, 0] = value, -value
+    with pytest.raises(ValueError, match=r"^omega\^\{mu nu\} must be finite"):
+        InfinitesimalElement.from_antisymmetric(w)
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_exact_antisymmetric_rejects_a_non_finite_entry(value):
+    with pytest.raises(ValueError, match="^w must be finite"):
+        antisymmetric([[0, value], [-value, 0]], "w", 2, exact=True)
+
+
+def test_exact_reads_keep_other_errors():
+    with pytest.raises(ValueError, match="Invalid literal"):
+        antisymmetric([[0, "one"], ["-one", 0]], "w", 2, exact=True)
+    with pytest.raises(TypeError):
+        Scaled.of(np.array([None], dtype=object))
+
+
 @pytest.mark.parametrize("axis", [-1, 0, 4])
 def test_exact_boost_rejects_an_axis_outside_1_to_3(axis):
     with pytest.raises(ValueError, match="axes"):

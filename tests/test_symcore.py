@@ -186,7 +186,9 @@ def test_expression_checked_on_one_table_is_checked_again_on_another():
        im=st.one_of(st.just(Fraction(0)), _RATIONALS))
 def test_equal_values_hash_equal(re, im):
     a = GaussRat(re, im)
-    values = [a, GaussRat(re, im), Expression.scalar(a)]
+    # a scalar expression's kept hash, and a pickled copy's fresh one
+    values = [a, GaussRat(re, im), Expression.scalar(a),
+              pickle.loads(pickle.dumps(Expression.scalar(a)))]
     if im == 0:
         values.append(re)
         if re.denominator == 1:
@@ -195,6 +197,25 @@ def test_equal_values_hash_equal(re, im):
         for y in values:
             assert x == y and hash(x) == hash(y)
     assert len(set(values)) == 1
+
+
+def _uncached_hash(e: Expression) -> int:
+    # the rule Expression.__hash__ keeps: a scalar hashes like its coefficient
+    if e.is_scalar():
+        return hash(e.scalar_part())
+    return hash(frozenset(e._terms.items()))
+
+
+@given(e=_TABLE_EXPRESSIONS, f=_TABLE_EXPRESSIONS)
+def test_cached_hash_equals_the_uncached_rule(e, f):
+    # e comes from __init__, the others from arithmetic's _expr
+    for expr in (e, e + f, e * f, -e, e - e):
+        want = _uncached_hash(expr)
+        before = pickle.loads(pickle.dumps(expr))  # pickled before its first hash
+        assert hash(expr) == want and hash(expr) == want  # computed, then kept
+        after = pickle.loads(pickle.dumps(expr))
+        assert hash(before) == hash(after) == want
+        assert after == expr and hash(after) == hash(Expression(dict(expr.terms)))
 
 
 def test_normal_form_reorders_px():
