@@ -328,10 +328,10 @@ def constraints_suite(p: dict):
 
 def _canonical_mismatches(ps, delta) -> int:
     """Entries of the (2n)^2 constraint matrix off [[0, g], [-g, 0]], g the metric of ps."""
-    m, idx = delta.scalar_matrix(), ps.indices
+    idx = ps.indices
     n = len(idx)
     sign = ((0, 1), (-1, 0))
-    return sum(m[a][b] != GaussRat(sign[a // n][b // n] * ps.metric(idx[a % n], idx[b % n]))
+    return sum(delta[a][b] != GaussRat(sign[a // n][b // n] * ps.metric(idx[a % n], idx[b % n]))
                for a in range(2 * n) for b in range(2 * n))
 
 

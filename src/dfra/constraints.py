@@ -96,98 +96,66 @@ class ConstraintSet:
         return len(self.constraints)
 
 
-def dfra_constraints(
-    ps: PhaseSpace,
-    alpha: Fraction | int = 0,
-    beta: Fraction | int = Fraction(-1, 2),
-    gamma: Fraction | int = 0,
-    rho: Fraction | int = -1,
-    sigma: Fraction | int = 0,
-    lam: Fraction | int = 0,
-) -> ConstraintSet:
-    """The dimensionless-parameter constraint ansatz
+def dfra_constraints(ps: PhaseSpace) -> ConstraintSet:
+    """The DFRA second-class pair
 
-        Psi^i  = Z^i + alpha x^i + beta theta^{ij} p_j + gamma theta^{ij} K_j
-        Phi_i  = K_i + rho p_i + sigma pi_{ij} x^j + lam pi_{ij} Z^j
+        Psi^i = Z^i - (1/2) theta^{ij} p_j,    Phi_i = K_i - p_i,
 
-    with defaults selecting Psi^i = Z^i - (1/2) theta^{ij} p_j and
-    Phi_i = K_i - p_i, the choice whose Dirac brackets quantize to the DFRA
-    commutators.  In the relativistic case the Phi constraints are used with
-    the index raised, so the constraint matrix comes out in eta blocks.
+    whose Dirac brackets quantize to the DFRA commutators.  In the
+    relativistic case Phi is used with its index raised, eta^{ii} Phi_i
+    (labelled Phi^[i]), so the constraint matrix comes out in eta blocks.
     """
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
-    rho, sigma, lam = Fraction(rho), Fraction(sigma), Fraction(lam)
-    psis, phis, psi_labels, phi_labels = [], [], [], []
+    psis, phis = [], []
     for i in ps.indices:
-        psi = ps.Z(i) + alpha * ps.x(i)
+        psi = ps.Z(i)
         for j in ps.indices:
-            psi = psi + beta * ps.theta(i, j) * ps.p(j)
-            psi = psi + gamma * ps.theta(i, j) * ps.K(j)
+            psi = psi + Fraction(-1, 2) * ps.theta(i, j) * ps.p(j)
         psis.append(normal_form(psi, ps.table))
-        psi_labels.append(f"Psi[{i}]")
-        phi = ps.K(i) + rho * ps.p(i)
-        for j in ps.indices:
-            phi = phi + sigma * ps.pi(i, j) * ps.x(j)
-            phi = phi + lam * ps.pi(i, j) * ps.Z(j)
-        if ps.relativistic:
-            phi = ps.metric(i, i) * phi
-            phi_labels.append(f"Phi^[{i}]")
-        else:
-            phi_labels.append(f"Phi[{i}]")
-        phis.append(normal_form(phi, ps.table))
-    return ConstraintSet(tuple(psis + phis), tuple(psi_labels + phi_labels))
+        phis.append(normal_form(ps.metric(i, i) * (ps.K(i) - ps.p(i)), ps.table))
+    phi_name = "Phi^" if ps.relativistic else "Phi"
+    labels = [f"Psi[{i}]" for i in ps.indices] + [f"{phi_name}[{i}]" for i in ps.indices]
+    return ConstraintSet(tuple(psis + phis), tuple(labels))
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    entries: tuple[tuple[Expression, ...], ...]
-    labels: tuple[str, ...]
+def constraint_matrix(ps: PhaseSpace, cs: ConstraintSet) -> list[list[GaussRat]]:
+    """The rows of Delta^{ab} = {Xi^a, Xi^b}, as Gaussian rationals.
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def is_scalar(self) -> bool:
-        return all(e.is_scalar() for row in self.entries for e in row)
-
-    def scalar_matrix(self) -> list[list[GaussRat]]:
-        if not self.is_scalar():
-            raise FieldDependentMatrixError(
-                "constraint matrix has field-dependent entries"
-            )
-        return [[e.scalar_part() for e in row] for row in self.entries]
-
-    def inverse(self) -> list[list[GaussRat]]:
-        """Exact inverse of the scalar constraint matrix (Gauss-Jordan)."""
-        m = self.scalar_matrix()
-        n = self.size
-        aug = [row[:] + [GaussRat(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise NotSecondClassError("constraint matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv_p = GaussRat(1) / aug[col][col]
-            aug[col] = [v * inv_p for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
+    Raises FieldDependentMatrixError if any entry is not a scalar: such a
+    set cannot be classified, or its Dirac bracket built, by an exact inverse.
+    """
+    rows = [[bracket(a, b, ps.table) for b in cs.constraints] for a in cs.constraints]
+    if not all(e.is_scalar() for row in rows for e in row):
+        raise FieldDependentMatrixError("constraint matrix has field-dependent entries")
+    return [[e.scalar_part() for e in row] for row in rows]
 
 
-def constraint_matrix(ps: PhaseSpace, cs: ConstraintSet) -> ConstraintMatrix:
-    """Delta^{ab} = {Xi^a, Xi^b}."""
-    rows = []
-    for a in cs.constraints:
-        rows.append(tuple(bracket(a, b, ps.table) for b in cs.constraints))
-    return ConstraintMatrix(tuple(rows), cs.labels)
+def _inverse(m: list[list[GaussRat]]) -> list[list[GaussRat]]:
+    """Exact inverse of the square matrix m by Gauss-Jordan elimination.
+
+    Raises NotSecondClassError if m is singular.
+    """
+    n = len(m)
+    aug = [row[:] + [GaussRat(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise NotSecondClassError("constraint matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = GaussRat(1) / aug[col][col]
+        aug[col] = [v * inv_p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 class DiracBracket:
     """Dirac bracket for a fixed second-class constraint set.
 
-    Builds the constraint matrix `delta` and its exact inverse once.  The column
+    Builds the rows of the scalar constraint matrix (`delta`, from
+    constraint_matrix) and their exact inverse (`delta_inv`) once; an empty,
+    singular or field-dependent matrix raises.  The column
     [{A, Xi^a}] of each argument A is computed on first use and kept, and
     the other side comes from the same column, {Xi^b, B} = -{B, Xi^b}; so a
     run of brackets with shared arguments (all pairs of generators, one
@@ -203,9 +171,9 @@ class DiracBracket:
         self.ps = ps
         self.cs = cs
         self.delta = constraint_matrix(ps, cs)
-        if self.delta.size == 0:
+        if not self.delta:
             raise NotSecondClassError("empty constraint set")
-        self.delta_inv = self.delta.inverse()
+        self.delta_inv = _inverse(self.delta)
         self._columns: dict[Expression, tuple[Expression, ...]] = {}
 
     def _column(self, A: Expression) -> tuple[Expression, ...]:

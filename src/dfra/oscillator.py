@@ -236,8 +236,8 @@ def monomial(exponents: tuple[int, ...]) -> Callable[..., np.ndarray]:
     values there and returns out, with the same bits.  Only a second or later
     factor then makes a temporary.  f carries f.components, the number of
     leading theta components it reads: one more than the last index with a
-    nonzero exponent, and at least 1.  moment_oracle's Monte Carlo draws only
-    those components and passes its values buffers as out.
+    nonzero exponent, and at least 1.  moment_oracle integrates over only
+    those components, and its Monte Carlo passes its values buffers as out.
     """
     if not all(isinstance(e, numbers.Integral) and e >= 0 for e in exponents):
         raise ValueError(f"monomial exponents must be non-negative ints, got {exponents}")
@@ -276,14 +276,15 @@ def moment_oracle(
     """Independent estimate of int W(theta) f(theta) dtheta.
 
     f must be vectorized over a trailing component axis: it maps arrays of
-    shape (..., m) to shape (...), or ValueError is raised.  Quadrature
-    (tensor Gauss-Hermite, exact for polynomials up to degree 2*nodes-1)
-    supports n_modes <= 3 and passes m = n_modes.  Monte Carlo works in any
-    dimension, in deterministic seeded chunks, and passes m = f.components
-    where f has that attribute (as monomial's functions do), else n_modes:
-    it draws only the components f reads.  f.components above n_modes is a
-    ValueError in both methods.  seed is anything numpy.random.SeedSequence
-    takes as entropy: an int or a tuple of ints.
+    shape (..., m) to shape (...), or ValueError is raised.  Both methods
+    pass m = f.components where f has that attribute (as monomial's
+    functions do), else n_modes, and integrate over those components only:
+    W is a product over components, and each one f does not read integrates
+    to 1.  f.components above n_modes is a ValueError.  Quadrature (tensor
+    Gauss-Hermite, exact for polynomials up to degree 2*nodes-1) supports
+    n_modes <= 3.  Monte Carlo works in any dimension, in deterministic
+    seeded chunks.  seed is anything numpy.random.SeedSequence takes as
+    entropy: an int or a tuple of ints.
 
     The Monte Carlo's calling thread allocates every chunk-sized array up
     front: one draw buffer per worker and, where f takes an out= keyword (as
@@ -302,8 +303,8 @@ def moment_oracle(
             raise QuadratureUnsupportedError(
                 f"quadrature supports <= 3 theta components, got {M} (D = {cfg.D})"
             )
-        value = _hermite_tensor(f, M, lo, nodes)
-        check = _hermite_tensor(f, M, lo, nodes + 8)
+        value = _hermite_tensor(f, reads, lo, nodes)
+        check = _hermite_tensor(f, reads, lo, nodes + 8)
         return MomentEstimate(value, abs(value - check) + 1e-15, "quadrature", 0)
     if method == "monte-carlo":
         if samples < 2:

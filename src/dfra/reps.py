@@ -187,10 +187,11 @@ def vec_to_mat(v) -> np.ndarray:
 def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
     """m as an n x n array, after checking that it is antisymmetric.
 
-    exact=True reads the entries as Fractions with _rational, so a NaN or
-    infinite entry is a ValueError naming label.  Exact (object) arrays must
-    be antisymmetric entry for entry; any other input is read as floats and
-    checked with np.allclose at atol 1e-12.
+    exact=True returns m as a Fraction object array.  An object array is
+    read exactly: every entry that is not a Python int goes through
+    _rational, so a NaN or infinite entry is a ValueError naming label, and
+    the entries must be antisymmetric value for value.  Any other input is
+    read as floats and checked with np.allclose at atol 1e-12.
     """
     if exact:
         m = np.array([[_rational(v, label) for v in row] for row in m], dtype=object)
@@ -199,7 +200,8 @@ def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
     if m.shape != (n, n):
         raise ValueError(f"{label} must be {n}x{n}")
     if m.dtype == object:
-        ok = all(m[i, j] == -m[j, i] for i in range(n) for j in range(n))
+        q = [[v if type(v) is int else _rational(v, label) for v in row] for row in m]
+        ok = all(q[i][j] == -q[j][i] for i in range(n) for j in range(n))
     else:
         ok = np.allclose(m, -m.T, atol=1e-12)
     if not ok:
@@ -222,7 +224,7 @@ def _check_lorentz(lam: Scaled) -> None:
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=float)
+    out = np.array(x)
     out.flags.writeable = False
     return out
 
@@ -238,16 +240,17 @@ class _Element:
     def _store(self, first, a, b, label: str) -> Scaled:
         """Read and check a and b, store all three parts; the first one back.
 
-        Float parts are kept as private read-only copies: a float array
-        passes through Scaled.of, so writing to the caller's array (or to a
-        read-out, which is the stored array) would change a checked element.
-        Every part must be finite: float parts are checked here, exact ones
-        as Scaled.of reads them.  label names the first part in errors.
+        Every part is kept as a private read-only copy of its num, in its own
+        dtype: Scaled.of passes a float array or a Scaled form through, so
+        writing to the caller's array (or to a float read-out, which is the
+        stored array) would change a checked element.  Every part must be
+        finite: float parts are checked here, exact ones as Scaled.of reads
+        them.  label names the first part in errors.
         """
         first = Scaled.of(first, label=label)
         a, b = Scaled.of(a, first.exact, "a"), Scaled.of(b, first.exact, "b")
+        first, a, b = (Scaled(_read_only(s.num), s.den) for s in (first, a, b))
         if not first.exact:
-            first, a, b = (Scaled(_read_only(s.num)) for s in (first, a, b))
             for name, s in zip((label, "a", "b"), (first, a, b)):
                 if not np.isfinite(s.num).all():
                     raise ValueError(f"{name} must be finite")

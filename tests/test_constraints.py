@@ -8,11 +8,11 @@ import pytest
 
 from dfra import algebra
 from dfra.constraints import (
-    ConstraintMatrix,
     ConstraintSet,
     DiracBracket,
     FieldDependentMatrixError,
     NotSecondClassError,
+    _inverse,
     build_phase_space,
     classical_j_closure_residual,
     classical_rotate,
@@ -43,7 +43,7 @@ def test_poisson_structure():
 
 
 def test_constraint_matrix_block_form():
-    delta = constraint_matrix(PS, CS).scalar_matrix()
+    delta = constraint_matrix(PS, CS)
     n = PS.D
     for a in range(2 * n):
         for b in range(2 * n):
@@ -56,14 +56,13 @@ def test_constraint_matrix_block_form():
 
 
 def test_constraint_matrix_empty():
-    cm = constraint_matrix(PS, ConstraintSet((), ()))
-    assert cm.size == 0
+    assert constraint_matrix(PS, ConstraintSet((), ())) == []
 
 
 def test_relativistic_constraint_matrix_eta_blocks():
     ps = build_phase_space(3, relativistic=True)
     cs = dfra_constraints(ps)
-    delta = constraint_matrix(ps, cs).scalar_matrix()
+    delta = constraint_matrix(ps, cs)
     n = len(list(ps.indices))
     for a in range(n):
         for b in range(n):
@@ -75,7 +74,7 @@ def test_relativistic_constraint_matrix_eta_blocks():
 
 def test_classify_second_class():
     # building the Dirac bracket inverts the constraint matrix
-    assert DiracBracket(PS, CS).delta.size == 2 * PS.D
+    assert len(DiracBracket(PS, CS).delta) == 2 * PS.D
 
 
 def test_classify_single_momentum_constraint():
@@ -92,10 +91,46 @@ def test_classify_duplicated_constraint():
 
 
 def test_field_dependent_matrix_rejected():
-    # gamma != 0 makes {Psi, Psi} proportional to theta
-    cs = dfra_constraints(PS, gamma=1)
+    # Psi^i plus theta^{ij} K_j: {Psi, Psi} is then proportional to theta
+    psis = []
+    for psi, i in zip(CS.constraints, PS.indices):
+        for j in PS.indices:
+            psi = psi + PS.theta(i, j) * PS.K(j)
+        psis.append(normal_form(psi, PS.table))
+    cs = ConstraintSet(tuple(psis) + CS.constraints[PS.D:], CS.labels)
+    assert not bracket(psis[0], psis[1], PS.table).is_scalar()
     with pytest.raises(FieldDependentMatrixError):
-        constraint_matrix(PS, cs).scalar_matrix()
+        constraint_matrix(PS, cs)
+    with pytest.raises(FieldDependentMatrixError):
+        DiracBracket(PS, cs)
+
+
+def _written_out(ps):
+    """Psi^i = Z^i - (1/2) theta^{ij} p_j and Phi_i = K_i - p_i (eta^{ii} Phi_i when
+    relativistic), spelled out term by term."""
+    idx, t = ps.indices, ps.table
+    psis, phis = [], []
+    for i in idx:
+        psi = ps.Z(i)
+        for j in idx:
+            if j != i:
+                psi = psi - Fraction(1, 2) * ps.theta(i, j) * ps.p(j)
+        psis.append(normal_form(psi, t))
+        eta = -1 if ps.relativistic and i == 0 else 1
+        phis.append(normal_form(eta * ps.K(i) - eta * ps.p(i), t))
+    return psis + phis
+
+
+@pytest.mark.parametrize("D, relativistic, labels", [
+    (2, False, ("Psi[1]", "Psi[2]", "Phi[1]", "Phi[2]")),
+    (3, False, ("Psi[1]", "Psi[2]", "Psi[3]", "Phi[1]", "Phi[2]", "Phi[3]")),
+    (3, True, ("Psi[0]", "Psi[1]", "Psi[2]", "Psi[3]", "Phi^[0]", "Phi^[1]", "Phi^[2]", "Phi^[3]")),
+])
+def test_dfra_constraints_are_the_dfra_pair(D, relativistic, labels):
+    ps = build_phase_space(D, relativistic)
+    cs = dfra_constraints(ps)
+    assert cs.labels == labels
+    assert list(cs.constraints) == _written_out(ps)
 
 
 def test_dirac_brackets_of_original_variables():
@@ -191,15 +226,10 @@ def _invertible(draw):
     return [lu[r] for r in draw(st.permutations(range(n)))]
 
 
-def _scalar_constraint_matrix(m):
-    entries = tuple(tuple(Expression.scalar(v) for v in row) for row in m)
-    return ConstraintMatrix(entries, tuple(f"Xi[{k}]" for k in range(len(m))))
-
-
 @given(m=_invertible())
 @settings(max_examples=60, deadline=None)
 def test_inverse_by_elimination_is_exact(m):
-    inv = _scalar_constraint_matrix(m).inverse()
+    inv = _inverse(m)
     eye = [[GaussRat(int(i == j)) for j in range(len(m))] for i in range(len(m))]
     assert _matmul(m, inv) == eye
     assert _matmul(inv, m) == eye
@@ -214,7 +244,7 @@ def test_inverse_of_a_singular_matrix_raises(m, data):
     m[k] = [sum((c[i] * row[j] for i, row in enumerate(m) if i != k), GaussRat(0))
             for j in range(len(m))]
     with pytest.raises(NotSecondClassError):
-        _scalar_constraint_matrix(m).inverse()
+        _inverse(m)
 
 
 def test_constraints_have_zero_dirac_bracket_with_anything():

@@ -260,6 +260,14 @@ def test_quadrature_unsupported_above_three_dims():
         moment_oracle(cfg, monomial((0,) * cfg.n_modes), "quadrature")
 
 
+@pytest.mark.parametrize("e", range(6))
+def test_quadrature_integrates_only_the_components_f_reads(e):
+    # W is a product over components, so a monomial of the first component has
+    # the same quadrature at D = 3 (3 components) as at D = 2 (1), bit for bit
+    d3 = moment_oracle(CFG3, monomial((e, 0, 0)), "quadrature")
+    assert d3 == moment_oracle(CFG2, monomial((e,)), "quadrature")
+
+
 def test_monte_carlo_oracle_three_sigma():
     cfg = OscillatorConfig(D=3, Lambda=1, Omega=1)
     est = moment_oracle(cfg, monomial((2, 0, 0)), "monte-carlo", samples=200_000, seed=42)

@@ -418,6 +418,30 @@ def test_float_elements_keep_private_read_only_parts():
     assert not (g.a.any() or g.b.any() or e.omega.any() or e.a.any() or e.b.any())
 
 
+def test_exact_elements_keep_private_read_only_parts():
+    # Scaled forms pass through Scaled.of, so the element must copy them too
+    lam = Scaled.of(np.identity(4, dtype=int).astype(object))
+    a, b = Scaled.of(np.zeros(4, dtype=object)), Scaled.of(np.zeros((4, 4), dtype=object))
+    omega = Scaled.of(np.zeros((4, 4), dtype=object))
+    g, e = GroupElement(lam, a, b), InfinitesimalElement(omega, a, b)
+    lam.num[0, 0], a.num[0], b.num[0, 1], omega.num[0, 1] = 5, 1, 2, 3
+    assert _exact_equal(g.lam, np.identity(4)) and _exact_equal(compose(g, g).lam, np.identity(4))
+    assert not (g.a.any() or g.b.any() or e.omega.any() or e.a.any() or e.b.any())
+    for part in g.scaled + e.scaled:
+        with pytest.raises(ValueError):
+            part.num[(0,) * part.num.ndim] = 7
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_antisymmetric_reads_an_object_array_exactly(value):
+    w = np.zeros((4, 4), dtype=object)
+    w[0, 1], w[1, 0] = value, -value
+    with pytest.raises(ValueError, match="^w must be finite"):
+        antisymmetric(w, "w")
+    with pytest.raises(ValueError, match="^b must be finite"):
+        mat_to_vec(w)
+
+
 def test_elements_survive_a_pickle_round_trip():
     import pickle
 
