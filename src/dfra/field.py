@@ -247,9 +247,13 @@ def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
 
 
 def _symbol_axes(shape, *spacings: float):
-    """The per-axis squared lattice momenta (2/h)^2 sin^2(pi j / n)."""
-    return tuple((2.0 / h * np.sin(np.pi * np.arange(n) / n)) ** 2
-                 for n, h in zip(shape, spacings))
+    """The per-axis squared lattice momenta (2/h)^2 sin^2(pi j / n).
+
+    Each is computed at the folded index min(j, n - j), so that entries j
+    and n - j are equal bit for bit and the symbol is exactly even.
+    """
+    folded = (np.minimum(np.arange(n), np.arange(n, 0, -1)) for n in shape)
+    return tuple((2.0 / h * np.sin(np.pi * j / n)) ** 2 for j, n, h in zip(folded, shape, spacings))
 
 
 def _symbol_slice(w2, kx: np.ndarray, kq: np.ndarray, lam: float, m: float) -> np.ndarray:
@@ -281,11 +285,13 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     trigger an ill-conditioning warning carrying the condition number, once
     per call.  Raises ValueError unless eps is finite and >= 0.
 
-    The regularized symbol is Hermitian (its value at -K is the conjugate of
-    its value at K), so a real source has a real field, and the field of a
-    real source is float64.  A complex source is solved as
-    solve(Re J) + i solve(Im J).  Two kinds of mode are their own mirror
-    image and get a real regularized symbol:
+    The symbol is exactly even (each axis's lattice momentum is computed at
+    the folded index min(j, n - j)), so the regularized symbol is exactly
+    Hermitian: its value at -K is the conjugate of its value at K.  So a
+    real source has a real field, and the field of a real source is
+    float64.  A complex source is solved as solve(Re J) + i solve(Im J).
+    Two kinds of mode are their own mirror image and get a real regularized
+    symbol:
     - the t-Nyquist plane of an even nt, whose signed frequency is taken as
       0, the mean of its two aliases +-pi/dt, so it is not shifted;
     - a mode whose regularized symbol is exactly zero (m = 0 and eps = 0 at
@@ -337,8 +343,7 @@ def _greens_solve_real(J: np.ndarray, src: SourceTerm, eps: float):
     np.fft.fft(spec, axis=0, out=spec)
     # each slice of kg_symbol is built from the axis factors, so neither the
     # symbol nor its regularized form ever exists as a full array; the symbol
-    # is even in k_theta, so its half columns hold all its magnitudes, up to
-    # the rounding of sin(pi j / nq) against sin(pi (nq - j) / nq)
+    # is even in k_theta, so its half columns hold all its magnitudes
     min_abs, scale = float("inf"), 0.0
     for t, spec_t in enumerate(spec):
         symbol = _symbol_slice(wt[t], kx, kq, src.lam, src.m)
@@ -408,9 +413,8 @@ def discrete_mode_initial(
     m: float,
     n_x: int = 1,
     n_theta: int = 1,
-    amplitude: complex = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(phi0, phidot0, w) launching a pure leapfrog plane-wave branch.
+    """(phi0, phidot0, w) launching a pure leapfrog plane-wave branch of amplitude 1.
 
     evolve_leapfrog rotates the mode exp(i(k x + kappa theta)) by
     exp(-i w dt) per step, with cos(w dt) = 1 + dt^2 s / 2 and s the mode's
@@ -430,7 +434,7 @@ def discrete_mode_initial(
     w = float(np.arccos(c) / dt)
     x = dx * np.arange(nx).reshape(nx, 1)
     q = dtheta * np.arange(nq).reshape(1, nq)
-    phi0 = amplitude * np.exp(1j * (k * x + kappa * q))
+    phi0 = np.exp(1j * (k * x + kappa * q))
     phidot0 = -1j * (np.sin(w * dt) / dt) * phi0
     return phi0, phidot0, w
 

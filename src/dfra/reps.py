@@ -78,26 +78,28 @@ class Scaled:
 
     @staticmethod
     def of(m, exact: bool | None = None, label: str = "entries") -> "Scaled":
-        """m over the least common denominator of its entries.
+        """m as a private read-only form over one denominator: the one reader.
 
-        exact defaults to whether m is an object array.  Exact entries are
-        read with _rational (ints, Fractions and finite floats alike; a NaN
-        or infinite entry is a ValueError naming label), the others as
-        floats.  A Scaled form of the asked kind passes through.
+        exact defaults to whether m is an object array or an exact form.
+        Exact entries are read with _rational, the others into a float copy;
+        a NaN or infinite entry of either kind is a ValueError saying that
+        label must be finite.  num is always a new array, even for a form.
         """
-        if isinstance(m, Scaled):
-            if exact in (None, m.exact):
-                return m
-            m = m.array()
-        m = np.asarray(m)
-        if exact is None:
-            exact = m.dtype == object
-        if not exact:
-            return Scaled(np.asarray(m, dtype=float))
-        q = [v if isinstance(v, Fraction) else _rational(v, label) for v in m.flat]
-        den = math.lcm(*(int(v.denominator) for v in q))
-        num = [int(v.numerator) * (den // int(v.denominator)) for v in q]
-        return Scaled(np.array(num, dtype=object).reshape(m.shape), den)
+        if isinstance(m, Scaled) and exact in (None, m.exact):
+            out = Scaled(np.array(m.num), m.den)
+        else:
+            m = np.asarray(m.array() if isinstance(m, Scaled) else m)
+            if exact or (exact is None and m.dtype == object):
+                q = [v if type(v) in (int, Fraction) else _rational(v, label) for v in m.flat]
+                den = math.lcm(*(int(v.denominator) for v in q))
+                num = [int(v.numerator) * (den // int(v.denominator)) for v in q]
+                out = Scaled(np.array(num, dtype=object).reshape(m.shape), den)
+            else:
+                out = Scaled(np.array(m, dtype=float))
+        if not (out.exact or np.isfinite(out.num).all()):
+            raise ValueError(f"{label} must be finite")
+        out.num.flags.writeable = False
+        return out
 
     @property
     def exact(self) -> bool:
@@ -187,46 +189,26 @@ def vec_to_mat(v) -> np.ndarray:
 def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
     """m as an n x n array, after checking that it is antisymmetric.
 
-    exact=True returns m as a Fraction object array.  An object array is
-    read exactly: every entry that is not a Python int goes through
-    _rational, so a NaN or infinite entry is a ValueError naming label, and
-    the entries must be antisymmetric value for value.  Any other input is
-    read as floats and checked with np.allclose at atol 1e-12.
+    m is read by Scaled.of, exactly when exact is True or m is an object
+    array, so a NaN or infinite entry is a ValueError naming label.  The
+    result is a Fraction object array (exact) or a read-only float array.
     """
-    if exact:
-        m = np.array([[_rational(v, label) for v in row] for row in m], dtype=object)
-    elif not (isinstance(m, np.ndarray) and m.dtype == object):
-        m = np.asarray(m, dtype=float)
+    s = Scaled.of(m, exact or None, label)
+    _check_antisymmetric(s, label, n)
+    return s.array()
+
+
+def _check_antisymmetric(s: Scaled, label: str, n: int = 4) -> None:
+    """s must be n x n and equal -s^T: exactly, or for floats within 1e-12 max(1, max |s|)."""
+    m = s.num
     if m.shape != (n, n):
         raise ValueError(f"{label} must be {n}x{n}")
-    if m.dtype == object:
-        q = [[v if type(v) is int else _rational(v, label) for v in row] for row in m]
-        ok = all(q[i][j] == -q[j][i] for i in range(n) for j in range(n))
+    if s.exact:
+        ok = np.array_equal(m, -m.T)
     else:
-        ok = np.allclose(m, -m.T, atol=1e-12)
+        ok = np.abs(m + m.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(m).max(initial=0.0))
     if not ok:
         raise ValueError(f"{label} must be antisymmetric")
-    return m
-
-
-def _check_lorentz(lam: Scaled) -> None:
-    if lam.num.shape != (4, 4):
-        raise ValueError("lambda must be 4x4")
-    eta = _eta(lam)
-    kept = lam.T @ eta @ lam
-    # exact: the integer identity N^T eta N == den^2 eta
-    if lam.exact:
-        ok = kept.equals(eta)
-    else:
-        ok = np.allclose((kept - eta).num, 0.0, atol=1e-12)
-    if not ok:
-        raise ValueError("lambda does not preserve the metric")
-
-
-def _read_only(x: np.ndarray) -> np.ndarray:
-    out = np.array(x)
-    out.flags.writeable = False
-    return out
 
 
 class _Element:
@@ -238,25 +220,17 @@ class _Element:
     __slots__ = ("scaled",)
 
     def _store(self, first, a, b, label: str) -> Scaled:
-        """Read and check a and b, store all three parts; the first one back.
+        """Read the parts, check their shapes and b, store them; the first one back.
 
-        Every part is kept as a private read-only copy of its num, in its own
-        dtype: Scaled.of passes a float array or a Scaled form through, so
-        writing to the caller's array (or to a float read-out, which is the
-        stored array) would change a checked element.  Every part must be
-        finite: float parts are checked here, exact ones as Scaled.of reads
-        them.  label names the first part in errors.
+        Scaled.of reads each part (a and b in the first one's kind) into a
+        private read-only form, so every part is finite and no caller can
+        write to a checked element.  label names the first part in errors.
         """
         first = Scaled.of(first, label=label)
         a, b = Scaled.of(a, first.exact, "a"), Scaled.of(b, first.exact, "b")
-        first, a, b = (Scaled(_read_only(s.num), s.den) for s in (first, a, b))
-        if not first.exact:
-            for name, s in zip((label, "a", "b"), (first, a, b)):
-                if not np.isfinite(s.num).all():
-                    raise ValueError(f"{name} must be finite")
-        if a.num.shape != (4,):
-            raise ValueError("a must be a 4-vector")
-        antisymmetric(b.num, "b")
+        if first.num.shape != (4, 4) or a.num.shape != (4,):
+            raise ValueError(f"{label} must be 4x4 and a must be a 4-vector")
+        _check_antisymmetric(b, "b")
         object.__setattr__(self, "scaled", (first, a, b))
         return first
 
@@ -279,7 +253,16 @@ class GroupElement(_Element):
     __slots__ = ()
 
     def __init__(self, lam, a, b):
-        _check_lorentz(self._store(lam, a, b, "lambda"))
+        lam = self._store(lam, a, b, "lambda")
+        eta = _eta(lam)
+        kept = lam.T @ eta @ lam
+        # exact: the integer identity N^T eta N == den^2 eta
+        if lam.exact:
+            ok = kept.equals(eta)
+        else:
+            ok = np.allclose((kept - eta).num, 0.0, atol=1e-12)
+        if not ok:
+            raise ValueError("lambda does not preserve the metric")
 
     lam = property(lambda self: self.scaled[0].array(), doc="Lorentz matrix")
 
@@ -303,7 +286,8 @@ def _minors(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _vec(b: Scaled) -> Scaled:
-    return Scaled(mat_to_vec(b.num), b.den)
+    """The pair components of an element's b, which _store has checked."""
+    return Scaled(b.num[_MU, _NU], b.den)
 
 
 def _blocks(n: int, blocks, one: bool = True) -> Scaled:
@@ -383,9 +367,7 @@ class InfinitesimalElement(_Element):
 
     def __init__(self, omega, a, b):
         omega = self._store(omega, a, b, "omega")
-        if omega.num.shape != (4, 4):
-            raise ValueError("omega must be 4x4")
-        antisymmetric((omega @ _eta(omega)).num, "omega^{mu nu}")
+        _check_antisymmetric(omega @ _eta(omega), "omega^{mu nu}")
 
     omega = property(lambda self: self.scaled[0].array(), doc="omega^mu_nu")
 
@@ -567,9 +549,9 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
-    """Random proper Lorentz matrix via the exponential of a generator."""
-    upper = rng.normal(0.0, scale, (4, 4))
+def random_float_lorentz(rng: np.random.Generator) -> np.ndarray:
+    """Random proper Lorentz matrix: the exponential of a generator with N(0, 0.4) entries."""
+    upper = rng.normal(0.0, 0.4, (4, 4))
     upper = upper - upper.T
     return expm(upper.dot(ETA))
 
@@ -580,7 +562,7 @@ def random_float_lorentz(rng: np.random.Generator, scale: float = 0.4) -> np.nda
 
 def minkowski_dot(u, v) -> float:
     """u_mu v^mu; exact for exact (object) vectors."""
-    u, v = Scaled.of(u), Scaled.of(v)
+    u, v = Scaled.of(u, label="u"), Scaled.of(v, label="v")
     return (u @ (_eta(u) @ v)).array()[()]
 
 
@@ -592,14 +574,12 @@ def pair_dot(A, B) -> float:
 
 def orbital_m1(x_ref, k) -> np.ndarray:
     """Orbital M1^{mu nu} = X^mu k^nu - X^nu k^mu at a reference point."""
-    x_ref = np.asarray(x_ref)
-    k = np.asarray(k)
     return np.outer(x_ref, k) - np.outer(k, x_ref)
 
 
 def orbital_m2(theta_ref, K) -> np.ndarray:
     """Orbital M2^{mu nu} = -theta^{mu s} K_s^nu + theta^{nu s} K_s^mu."""
-    theta_ref, K = Scaled.of(theta_ref), Scaled.of(K)
+    theta_ref, K = Scaled.of(theta_ref, label="theta_ref"), Scaled.of(K, label="K")
     raw = theta_ref @ _eta(theta_ref) @ K
     return (raw.T - raw).array()
 
@@ -646,8 +626,8 @@ def casimirs(k, K, m1=None, m2=None, x_ref=None, theta_ref=None):
     M2^{mu nu} K_{mu nu} likewise uses m2 or the orbital value at theta_ref.
     The 1/2 in C3 and C4 is the independent-component normalization.
     """
-    k = np.asarray(k, dtype=float)
-    K = antisymmetric(np.asarray(K, dtype=float), "K")
+    k = Scaled.of(k, False, "k").num
+    K = antisymmetric(Scaled.of(K, False, "K"), "K")
     if m1 is None:
         m1 = orbital_m1(np.zeros(4) if x_ref is None else x_ref, k)
     if m2 is None:

@@ -494,11 +494,23 @@ def _mode_frequencies(nx, nq, dx, dtheta, lam, m, modes):
 @pytest.mark.parametrize("n", [8, 32, 64])
 def test_mode_frequency_is_exact_on_power_of_two_periodic_grids(n, lam, m):
     # with h = 2 pi / N and N a power of two, 0.5 k h equals pi n / N bit
-    # for bit, so the symbol's entry is the momenta formula's sum
+    # for bit, so the symbol's entry is the momenta formula's sum at the
+    # folded mode min(n, N - n), where the symbol's axes are computed
     nq = n // 2
+    dx, dtheta = 2 * np.pi / n, 2 * np.pi / nq
     modes = [(a, b) for a in range(n) for b in range(nq)]
-    for w, ref in _mode_frequencies(n, nq, 2 * np.pi / n, 2 * np.pi / nq, lam, m, modes):
-        assert w == ref
+    folded = [(min(a, n - a), min(b, nq - b)) for a, b in modes]
+    got = [w for w, _ in _mode_frequencies(n, nq, dx, dtheta, lam, m, modes)]
+    want = [ref for _, ref in _mode_frequencies(n, nq, dx, dtheta, lam, m, folded)]
+    assert got == want
+
+
+@pytest.mark.parametrize("shape", [(12, 12, 12), (9, 7, 12), (16, 128, 5)])
+def test_kg_symbol_equals_its_mirror_bit_for_bit(shape):
+    # the symbol at -K is the symbol at K, so the regularized one is Hermitian
+    sym = kg_symbol(shape, 0.05, 0.2, 0.25, 0.7, 0.3)
+    mirror = sym[np.ix_(*(-np.arange(n) % n for n in shape))]
+    assert np.array_equal(sym, mirror)
 
 
 @pytest.mark.parametrize("lam, m", [(1.0, 1.0), (2.0, 0.5), (0.7, 0.0)])

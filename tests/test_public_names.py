@@ -2,8 +2,9 @@
 
 A name passes when another part of src/dfra names it (a call, an attribute
 or an import), when README names it, or when it is on the allowlist below
-with the reason it stays.  Code that only tests call is deleted with its
-tests instead.
+with the reason it stays.  An allowlisted name must have neither, so the
+list cannot keep a reason that no longer holds.  Code that only tests call
+is deleted with its tests instead.
 """
 
 import ast
@@ -21,7 +22,6 @@ PINNED = "the Fraction definition that random_exact_element's integer forms are 
 ALLOWED = {
     "matrix_to_text": GOLDEN,
     "dirac_table_dump": GOLDEN,
-    "kg_apply": REFERENCE,
     "scalar_action_density": REFERENCE,
     "lorentz_generator": "perfbench's algebra.derived span group names it",
     "d3": "README names the representations d1 through d5 as a range",
@@ -59,17 +59,26 @@ DEFINITIONS = {
 }
 # each top-level statement with the identifiers it refers to
 STATEMENTS = [(node, _named(node)) for tree in TREES.values() for node in tree.body]
+README = (ROOT / "README.md").read_text()
+
+
+def _named_elsewhere(name: str) -> bool:
+    """Whether README or a src/dfra statement other than the definition names it."""
+    definition = DEFINITIONS[name][1]
+    return bool(re.search(rf"\b{name}\b", README)) or any(
+        name in names for node, names in STATEMENTS if node is not definition)
 
 
 def test_every_public_name_has_a_caller_or_a_stated_reason():
-    readme = (ROOT / "README.md").read_text()
-    unused = []
-    for name, (module, definition) in DEFINITIONS.items():
-        named = any(name in names for node, names in STATEMENTS if node is not definition)
-        if not (named or re.search(rf"\b{name}\b", readme) or name in ALLOWED):
-            unused.append(f"{module}: {name}")
+    unused = [f"{module}: {name}" for name, (module, _) in DEFINITIONS.items()
+              if not (_named_elsewhere(name) or name in ALLOWED)]
     assert not unused, f"public names that only tests use: {unused}"
 
 
 def test_the_allowlist_names_only_public_definitions():
     assert sorted(set(ALLOWED) - set(DEFINITIONS)) == []
+
+
+def test_the_allowlist_holds_only_names_nothing_else_names():
+    stale = [name for name in ALLOWED if name in DEFINITIONS and _named_elsewhere(name)]
+    assert not stale, f"allowlisted names that README or src/dfra already names: {stale}"

@@ -34,6 +34,7 @@ from dfra.reps import (
     generator_matrix,
     mat_to_vec,
     minkowski_dot,
+    orbital_m2,
     pair_dot,
     pair_slot,
     pauli_lubanski,
@@ -148,7 +149,10 @@ def test_group_element_rejects_non_lorentz():
         GroupElement(np.eye(4) * 2.0, np.zeros(4), np.zeros((4, 4)))
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE)
 @pytest.mark.parametrize("element, part, label", [
     (GroupElement, 0, "lambda"), (GroupElement, 1, "a"), (GroupElement, 2, "b"),
     (InfinitesimalElement, 0, "omega"), (InfinitesimalElement, 1, "a"),
@@ -160,9 +164,6 @@ def test_float_elements_reject_a_non_finite_part(element, part, label, value):
     parts[part][(0,) * parts[part].ndim] = value
     with pytest.raises(ValueError, match=f"^{label} must be finite"):
         element(*parts)
-
-
-_NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
 @pytest.mark.parametrize("value", _NON_FINITE)
@@ -419,10 +420,10 @@ def test_float_elements_keep_private_read_only_parts():
 
 
 def test_exact_elements_keep_private_read_only_parts():
-    # Scaled forms pass through Scaled.of, so the element must copy them too
-    lam = Scaled.of(np.identity(4, dtype=int).astype(object))
-    a, b = Scaled.of(np.zeros(4, dtype=object)), Scaled.of(np.zeros((4, 4), dtype=object))
-    omega = Scaled.of(np.zeros((4, 4), dtype=object))
+    # writable caller forms: the element must not hold them
+    lam = Scaled(np.identity(4, dtype=int).astype(object))
+    a, b = Scaled(np.zeros(4, dtype=int).astype(object)), Scaled(np.zeros((4, 4), dtype=object))
+    omega = Scaled(np.zeros((4, 4), dtype=int).astype(object), 3)
     g, e = GroupElement(lam, a, b), InfinitesimalElement(omega, a, b)
     lam.num[0, 0], a.num[0], b.num[0, 1], omega.num[0, 1] = 5, 1, 2, 3
     assert _exact_equal(g.lam, np.identity(4)) and _exact_equal(compose(g, g).lam, np.identity(4))
@@ -440,6 +441,54 @@ def test_antisymmetric_reads_an_object_array_exactly(value):
         antisymmetric(w, "w")
     with pytest.raises(ValueError, match="^b must be finite"):
         mat_to_vec(w)
+
+
+_NON_FINITE_READS = {
+    "antisymmetric": ("w", lambda x: antisymmetric(_off_by(_PAIR, (0, 1), x), "w")),
+    "mat_to_vec": ("b", lambda x: mat_to_vec(_off_by(_PAIR, (0, 1), x))),
+    "mat_to_vec-pair": ("b", lambda x: mat_to_vec(vec_to_mat([x, 0, 0, 0, 0, 0]))),
+    "minkowski_dot-u": ("u", lambda x: minkowski_dot([x, 0, 0, 0], [1, 0, 0, 0])),
+    "minkowski_dot-v": ("v", lambda x: minkowski_dot([1, 0, 0, 0], [0, x, 0, 0])),
+    "orbital_m2-theta_ref": ("theta_ref", lambda x: orbital_m2(_off_by(_PAIR, (2, 3), x), _PAIR)),
+    "orbital_m2-K": ("K", lambda x: orbital_m2(_PAIR, _off_by(_PAIR, (1, 0), x))),
+    "casimirs-k": ("k", lambda x: casimirs([x, 0, 0, 0], np.zeros((4, 4)))),
+    "casimirs-K": ("K", lambda x: casimirs(np.zeros(4), _off_by(_PAIR, (3, 3), x))),
+}
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("read", sorted(_NON_FINITE_READS))
+def test_every_float_read_rejects_a_non_finite_entry(read, value):
+    # the element constructors: test_float_elements_reject_a_non_finite_part
+    label, call = _NON_FINITE_READS[read]
+    with pytest.raises(ValueError, match=f"^{label} must be finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("kind", ["float", "exact", "form"])
+def test_scaled_of_returns_a_private_read_only_form(kind):
+    m = {"float": np.arange(6.0), "exact": np.array([Fraction(k, 3) for k in range(6)]),
+         "form": Scaled(np.arange(6).astype(object), 3)}[kind]
+    s = Scaled.of(m)
+    form = kind == "form"
+    assert s is not m and not np.shares_memory(s.num, m.num if form else m)
+    assert np.array_equal(s.array(), m.array() if form else m)
+    with pytest.raises(ValueError):
+        s.num[0] = 7
+
+
+def test_float_antisymmetry_is_relative_to_the_largest_entry():
+    # np.allclose's default rtol of 1e-5 passed this pair
+    with pytest.raises(ValueError, match="^w must be antisymmetric"):
+        antisymmetric([[0, 1], [-1.000009, 0]], "w", 2)
+    with pytest.raises(ValueError, match="^b must be antisymmetric"):
+        mat_to_vec(_off_by(_PAIR, (1, 0), 9e-6))
+    # a Lorentz transform of a large pair tensor rounds apart by far more than 1e-12
+    rng = np.random.default_rng(5)
+    lam = random_float_lorentz(rng)
+    K = lam @ vec_to_mat(rng.normal(0, 1e6, 6)) @ lam.T
+    assert np.abs(K + K.T).max() > 1e-12
+    antisymmetric(K, "K")
 
 
 def test_elements_survive_a_pickle_round_trip():
