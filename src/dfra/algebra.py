@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .reps import _levi4, antisymmetric, pair_dot
+from .reps import _finite, _levi4, _refuse, antisymmetric, pair_dot
 from .symcore import (
     BracketTable,
     Expression,
@@ -326,11 +326,11 @@ def quantum_conditions(theta: np.ndarray, planck_length: float) -> tuple[float, 
     Returns (theta_{mu nu} theta^{mu nu},
              ((1/4) *theta^{mu nu} theta_{mu nu})^2 - lambda_P^8)
     with *theta_{mu nu} = (1/2) eps_{mu nu rho sigma} theta^{rho sigma} and
-    eps_{0123} = +1.  Both vanish iff the conditions hold.
+    eps_{0123} = +1.  Both vanish iff the conditions hold.  planck_length > 0.
     """
-    theta = antisymmetric(theta, "theta")
-    if not 0.0 < planck_length < np.inf:  # False for NaN too
-        raise ValueError(f"planck_length must be finite and positive, got {planck_length}")
+    theta, planck_length = antisymmetric(theta, "theta"), _finite(planck_length, "planck_length")
+    if not planck_length > 0:
+        raise _refuse("planck_length", planck_length, "finite and positive")
     first = pair_dot(theta, theta)
     dual_lower = 0.5 * np.einsum("mnrs,rs->mn", _levi4(), theta)
     pseudo = 0.25 * float(np.einsum("mn,mn->", dual_lower, theta))

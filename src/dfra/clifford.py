@@ -38,7 +38,7 @@ from itertools import product
 import numpy as np
 
 from .algebra import so_pattern
-from .reps import ETA, PAIRS, antisymmetric, expm, minkowski_dot, pair_dot, pair_slot
+from .reps import ETA, PAIRS, _finite, antisymmetric, expm, minkowski_dot, pair_dot, pair_slot
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -189,10 +189,10 @@ def dirac_operator(gs: GammaSet, k, K, lam: float, m: float) -> np.ndarray:
 
     k carries lower (covariant) components k_mu; K is the antisymmetric
     lower-index theta-momentum K_{ab}.  The pair term's full index sum
-    equals lam * sum_{a<b} G^{ab} K_{ab}.
+    equals lam * sum_{a<b} G^{ab} K_{ab}.  Every float argument is read by _finite.
     """
-    k = np.asarray(k, dtype=float)
-    K = np.asarray(K, dtype=float)
+    k, K = _finite(k, "k", (4,)), _finite(K, "K", (4, 4))
+    lam, m = _finite(lam, "lam"), _finite(m, "m")
     out = -m * np.eye(N_SPINOR, dtype=complex)
     for mu in range(4):
         if k[mu]:
@@ -209,8 +209,9 @@ def conjugate_dirac_operator(gs: GammaSet, k, K, lam: float, m: float) -> np.nda
 
 
 def quadratic_form(k, K, lam: float, m: float) -> float:
-    """k^2 + (lam^2/2) K_{ab} K^{ab} + m^2, the generalized mass-shell form."""
-    k = np.asarray(k, dtype=float)
+    """k^2 + (lam^2/2) K_{ab} K^{ab} + m^2, the generalized mass-shell form; read by _finite."""
+    k, K = _finite(k, "k", (4,)), _finite(K, "K", (4, 4))
+    lam, m = _finite(lam, "lam"), _finite(m, "m")
     return float(minkowski_dot(k, k)) + 0.5 * lam**2 * pair_dot(K, K) + m**2
 
 
@@ -228,11 +229,11 @@ def dirac_square_residual(gs: GammaSet, k, K, lam: float, m: float) -> float:
 def spinor_boost(gs: GammaSet, omega: np.ndarray) -> np.ndarray:
     """S(omega) = exp(-(i/2) omega_{mu nu} M^{mu nu}) (full index sum).
 
-    omega is the antisymmetric lower-index parameter matrix.  S intertwines
-    the vector representation: S^-1 G^mu S = L^mu_nu G^nu with
-    L = vector_matrix(omega).
+    omega is the antisymmetric lower-index parameter matrix, read in floats.
+    S intertwines the vector representation: S^-1 G^mu S = L^mu_nu G^nu
+    with L = vector_matrix(omega).
     """
-    omega = antisymmetric(np.asarray(omega, dtype=float), "omega")
+    omega = antisymmetric(omega, "omega", exact=False)
     sg = gs.generator
     gen = np.zeros((N_SPINOR, N_SPINOR), dtype=complex)
     for mu in range(4):
@@ -250,10 +251,9 @@ def vector_matrix(omega: np.ndarray) -> np.ndarray:
 
     With L = exp(-omega^mu_nu) = exp(-eta omega) this M realizes
     S(omega)^-1 G^mu S(omega) = L^mu_nu G^nu, equivalently
-    S G^mu S^-1 = (L^-1)^mu_nu G^nu.
+    S G^mu S^-1 = (L^-1)^mu_nu G^nu.  omega is read by _finite as a float 4x4.
     """
-    omega = np.asarray(omega, dtype=float)
-    return expm(-ETA @ omega)
+    return expm(-ETA @ _finite(omega, "omega", (4, 4)))
 
 
 def intertwining_residual(gs: GammaSet, omega: np.ndarray) -> float:

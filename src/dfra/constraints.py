@@ -25,6 +25,7 @@ from .algebra import (
     infinitesimal_transform,
     shifted_coordinate,
 )
+from .reps import _rational
 from .symcore import (
     BracketTable,
     Expression,
@@ -239,10 +240,10 @@ def standard_hamiltonian(
 
     Pair contractions use theta^2 = (1/2) theta_{ij} theta^{ij}, i.e. the sum
     over independent components, so the (X, p) and (theta, pi) sectors are two
-    independent isotropic oscillators.
+    independent isotropic oscillators.  The parameters are read by _rational.
     """
-    m, omega = Fraction(m), Fraction(omega)
-    Lambda, Omega = Fraction(Lambda), Fraction(Omega)
+    m, omega = _rational(m, "m"), _rational(omega, "omega")
+    Lambda, Omega = _rational(Lambda, "Lambda"), _rational(Omega, "Omega")
     H = Expression.zero()
     for i in ps.indices:
         X = shifted_coordinate(ps, i)
@@ -267,10 +268,10 @@ def hamiltonian_flow(db: DiracBracket, H: Expression, A: Expression) -> Expressi
 
 
 def mass_shell_constraint(ps: PhaseSpace, m: Fraction | int) -> Expression:
-    """chi = p^2 + m^2 (recorded for the relativistic free particle)."""
+    """chi = p^2 + m^2 (recorded for the relativistic free particle); m is read exactly."""
     if not ps.relativistic:
         raise ValueError("mass shell constraint is relativistic")
-    out = Expression.scalar(Fraction(m) ** 2)
+    out = Expression.scalar(_rational(m, "m") ** 2)
     for mu in ps.indices:
         out = out + ps.metric(mu, mu) * ps.p(mu) * ps.p(mu)
     return normal_form(out, ps.table)

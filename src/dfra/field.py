@@ -31,7 +31,7 @@ import numpy as np
 import numpy.fft
 
 from . import _workers
-from .reps import antisymmetric, minkowski_dot, pair_dot, vec_to_mat
+from .reps import _finite, _refuse, antisymmetric, minkowski_dot, pair_dot, vec_to_mat
 from .symcore import (
     BracketTable,
     Expression,
@@ -58,12 +58,9 @@ class IllConditionedWarning(UserWarning):
 # continuum: dispersion and propagator
 
 def dispersion(kvec1, k2, lam: float, m: float) -> float:
-    """omega = sqrt(|k1|^2 + (lam^2/2) K2.K2 + m^2)."""
-    kvec1, k2 = np.asarray(kvec1, dtype=float), np.asarray(k2, dtype=float)
-    if kvec1.shape != (3,):
-        raise ValueError("kvec1 must be the spatial 3-vector")
-    _require_finite(kvec1=kvec1, k2=k2, lam=lam, m=m)
-    k2 = antisymmetric(k2, "theta-momentum")
+    """omega = sqrt(|k1|^2 + (lam^2/2) K2.K2 + m^2); every argument is read by _finite."""
+    kvec1, k2 = _finite(kvec1, "kvec1", (3,)), antisymmetric(k2, "k2", exact=False)
+    lam, m = _finite(lam, "lam"), _finite(m, "m")
     radicand = float(kvec1 @ kvec1) + 0.5 * lam**2 * pair_dot(k2, k2) + m**2
     if radicand < 0:
         raise TachyonicModeError(f"negative radicand {radicand}")
@@ -75,7 +72,7 @@ class ExtendedMomentum:
     """(K1, K2): covariant 4-vector and antisymmetric theta-momentum.
 
     K.X = K1_mu x^mu + (1/2) K2_{mu nu} theta^{mu nu}; the half eliminates
-    the doubled antisymmetric sum.
+    the doubled antisymmetric sum.  k1, k2 and lam are read by _finite.
     """
 
     k1: np.ndarray
@@ -83,12 +80,9 @@ class ExtendedMomentum:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", np.asarray(self.k1, dtype=float))
-        if self.k1.shape != (4,):
-            raise ValueError("k1 must be a 4-vector")
-        k2 = np.asarray(self.k2, dtype=float)
-        _require_finite(k1=self.k1, k2=k2, lam=self.lam)
-        object.__setattr__(self, "k2", antisymmetric(k2, "theta-momentum"))
+        object.__setattr__(self, "k1", _finite(self.k1, "k1", (4,)))
+        object.__setattr__(self, "k2", antisymmetric(self.k2, "k2", exact=False))
+        _finite(self.lam, "lam")
 
     def squared(self) -> float:
         """K^2 = K1.K1 + (lam^2/2) K2.K2 (metric contractions)."""
@@ -99,12 +93,12 @@ class ExtendedMomentum:
 def propagator(K: ExtendedMomentum, m: float, eps: float = 0.0) -> complex:
     """G(K) = -1 / (K^2 + m^2 - i eps); poles at K^0 = +-omega.
 
-    Raises ValueError unless m is finite and eps finite and >= 0: a negative
-    eps would give the advanced prescription.
+    m and eps are read by _finite, and eps must be >= 0: a negative eps
+    would give the advanced prescription.
     """
-    _require_finite(m=m, eps=eps)
+    m, eps = _finite(m, "m"), _finite(eps, "eps")
     if eps < 0:
-        raise ValueError(f"eps must be >= 0, got eps = {eps}")
+        raise _refuse("eps", eps, ">= 0")
     denom = K.squared() + m**2 - 1j * eps
     if abs(denom) < 1e-14:
         raise PoleError("on-shell momentum; supply eps for an i-epsilon shift")
@@ -117,34 +111,25 @@ def propagator(K: ExtendedMomentum, m: float, eps: float = 0.0) -> complex:
 
 def max_stable_dt(dx: float, dtheta: float, lam: float, m: float) -> float:
     """Leapfrog stability bound from the spatial symbol maximum."""
-    _require_spacings(dx=dx, dtheta=dtheta)
-    _require_finite(lam=lam, m=m)
+    dx, dtheta, lam, m = _lattice(dx=dx, dtheta=dtheta, lam=lam, m=m)
     return float(2.0 / np.sqrt(4.0 / dx**2 + 4.0 * lam**2 / dtheta**2 + m**2))
 
 
-def _require_spacings(**spacings: float) -> None:
-    """ValueError naming the first spacing that is not finite and positive."""
-    for name, h in spacings.items():
-        if not 0.0 < h < np.inf:  # False for NaN too
-            raise ValueError(f"spacings must be finite and positive, got {name} = {h}")
-
-
-def _require_finite(**values) -> None:
-    """ValueError naming the first value (a coupling, eps or a momentum
-    array) with an entry that is not finite."""
-    for name, value in values.items():
-        v = np.asarray(value)
-        if not np.all((-np.inf < v) & (v < np.inf)):  # False for NaN too
-            raise ValueError(f"lam, m, eps and momenta must be finite, got {name} = {value}")
+def _lattice(**args: float) -> list[float]:
+    """The spacings, lam and m given, read by _finite in order; each spacing must be > 0."""
+    out = [_finite(v, name) for name, v in args.items()]
+    for name, v in zip(args, out):
+        if name not in ("lam", "m") and not v > 0:
+            raise _refuse(name, v, "finite and positive, as lattice spacings are")
+    return out
 
 
 @dataclass(frozen=True)
 class LatticeField:
     """Real or complex samples on the (t, x, theta) grid, with spacings and masses.
 
-    Complex values are kept as complex128 and any other values as float64.
-    Raises ValueError unless the spacings are finite and positive and lam
-    and m are finite.
+    Complex values are kept as complex128 and others as float64, copied only
+    to change dtype; the spacings (> 0), lam and m are read by _finite.
     """
 
     values: np.ndarray
@@ -161,8 +146,7 @@ class LatticeField:
             raise ValueError("values must be (t, x, theta)")
         if min(self.values.shape) < 5:
             raise ValueError("grid sizes must be >= 5 for the stencils")
-        _require_spacings(dt=self.dt, dx=self.dx, dtheta=self.dtheta)
-        _require_finite(lam=self.lam, m=self.m)
+        _lattice(dt=self.dt, dx=self.dx, dtheta=self.dtheta, lam=self.lam, m=self.m)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -239,7 +223,8 @@ def kg_residual_max(f: LatticeField, src: LatticeField) -> float:
 
 
 def supplementary_residual(f: LatticeField, delta: float) -> np.ndarray:
-    """(Box_theta - delta) phi on the interior; delta is a free constant."""
+    """(Box_theta - delta) phi on the interior; delta is a free constant, read by _finite."""
+    delta = _finite(delta, "delta")
     v = f.values
     c = v[1:-1, 1:-1, 1:-1]
     dqq = (v[1:-1, 1:-1, 2:] - 2 * c + v[1:-1, 1:-1, :-2]) / f.dtheta**2
@@ -270,8 +255,7 @@ def kg_symbol(
     per axis; greens_solve, evolve_leapfrog and discrete_mode_initial
     evaluate the same _symbol_slice.
     """
-    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
-    _require_finite(lam=lam, m=m)
+    dt, dx, dtheta, lam, m = _lattice(dt=dt, dx=dx, dtheta=dtheta, lam=lam, m=m)
     wt, kx, kq = _symbol_axes(shape, dt, dx, dtheta)
     return _symbol_slice(wt.reshape(-1, 1, 1), kx, kq, lam, m)
 
@@ -283,7 +267,7 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
     the pole shift eps enters as +i eps w with w the signed frequency,
     displacing both K^0 = +-omega poles causally.  Near-resonant modes
     trigger an ill-conditioning warning carrying the condition number, once
-    per call.  Raises ValueError unless eps is finite and >= 0.
+    per call.  eps is read by _finite and must be >= 0.
 
     The symbol is exactly even (each axis's lattice momentum is computed at
     the folded index min(j, n - j)), so the regularized symbol is exactly
@@ -298,8 +282,8 @@ def greens_solve(src: SourceTerm, eps: float = 1e-10) -> LatticeField:
       the zero mode, say).  It is inverted by the pseudo-inverse: its field
       amplitude is 0.
     """
-    if not 0.0 <= eps < np.inf:  # False for NaN too
-        raise ValueError(f"eps = {eps} must be finite and >= 0")
+    if not _finite(eps, "eps") >= 0:
+        raise _refuse("eps", eps, ">= 0")
     J = src.values
     if np.iscomplexobj(J):
         phi = np.empty(src.shape, dtype=complex)
@@ -386,10 +370,11 @@ def plane_wave_mode(
     coupling exp(i kappa theta) <-> K2_{12} = kappa.  The values are built
     in one complex array: the float phase k x + kappa theta - omega t times
     1j, then exp and the amplitude applied in place, the same operations as
-    amplitude * exp(1j * phase).
+    amplitude * exp(1j * phase).  Every float argument and the complex
+    amplitude are read by _finite.
     """
-    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
-    _require_finite(lam=lam, m=m)
+    dt, dx, dtheta, lam, m = _lattice(dt=dt, dx=dx, dtheta=dtheta, lam=lam, m=m)
+    amplitude = _finite(amplitude, "amplitude", dtype=complex)
     nt, nx, nq = shape
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
@@ -422,8 +407,7 @@ def discrete_mode_initial(
     frequency launches a single branch, so all quadratic charges are
     constant to rounding error.
     """
-    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
-    _require_finite(lam=lam, m=m)
+    dt, dx, dtheta, lam, m = _lattice(dt=dt, dx=dx, dtheta=dtheta, lam=lam, m=m)
     nx, nq = shape_xq
     k = 2.0 * np.pi * n_x / (nx * dx)
     kappa = 2.0 * np.pi * n_theta / (nq * dtheta)
@@ -464,7 +448,8 @@ def noether_charges(
     Midpoint-centered: phi = (phi0 + phi1)/2 and phidot = (phi1 - phi0)/dt
     both live at t + dt/2.  Spatial derivatives are periodic central
     differences; the summation order is fixed (numpy axis order) so charge
-    values are bit-stable.
+    values are bit-stable.  Every argument is read by _finite, phi0 and phi1
+    as complex arrays.
 
     P0     sum |phidot|^2 + |d_x phi|^2 + lam^2 |d_theta phi|^2 + m^2|phi|^2
     P1     sum 2 Re(phidot* d_x phi)
@@ -476,11 +461,9 @@ def noether_charges(
     carries (lam^2/2) d^{mu nu} phi* d_{mu nu} phi, i.e. lam^2 per
     independent pair.
     """
-    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
-    _require_finite(lam=lam, m=m)
-    phi0 = np.asarray(phi0, dtype=complex)
-    phi1 = np.asarray(phi1, dtype=complex)
-    if phi0.shape != phi1.shape or phi0.ndim != 2:
+    dt, dx, dtheta, lam, m = _lattice(dt=dt, dx=dx, dtheta=dtheta, lam=lam, m=m)
+    phi0, phi1 = _finite(phi0, "phi0", dtype=complex), _finite(phi1, "phi1", dtype=complex)
+    if np.shape(phi0) != np.shape(phi1) or np.ndim(phi0) != 2:
         raise ValueError("need two equal-shape (x, theta) slices")
     dV = dx * dtheta
     phi = 0.5 * (phi0 + phi1)
@@ -534,31 +517,27 @@ def evolve_leapfrog(
 
     Returns the last two field slices and the recorded charge series
     [(step, t, charges)], recorded at step 0 and every record_every steps
-    (none when record_every is 0).  Raises ValueError unless phi and phidot
-    are finite (x, theta) arrays of one shape, when steps is not an int >= 1
-    or record_every not an int >= 0, when dt, dx or dtheta is not finite and
-    positive, when lam or m is not finite, or when dt exceeds the stability
-    bound.
+    (none when record_every is 0).  Every float argument is read by
+    _finite, phi and phidot as complex arrays.  Raises ValueError unless
+    phi and phidot are (x, theta) arrays of one shape, when steps is not an
+    int >= 1 or record_every not an int >= 0, when a spacing is not
+    positive, or when dt exceeds the stability bound.
     """
     if not (isinstance(steps, numbers.Integral) and steps >= 1):
         raise ValueError(f"steps = {steps!r} must be an int >= 1")
     if not (isinstance(record_every, numbers.Integral) and record_every >= 0):
         raise ValueError(f"record_every = {record_every!r} must be an int >= 0")
-    _require_spacings(dt=dt, dx=dx, dtheta=dtheta)
-    _require_finite(lam=lam, m=m)
+    dt, dx, dtheta, lam, m = _lattice(dt=dt, dx=dx, dtheta=dtheta, lam=lam, m=m)
     if dt > max_stable_dt(dx, dtheta, lam, m):
         raise ValueError(
             f"dt = {dt} exceeds the stability bound "
             f"{max_stable_dt(dx, dtheta, lam, m)}"
         )
-    phi = np.asarray(phi, dtype=complex)
-    phidot = np.asarray(phidot, dtype=complex)
-    if phi.ndim != 2 or phi.shape != phidot.shape:
-        raise ValueError(f"phi {phi.shape} and phidot {phidot.shape} must be "
-                         "(x, theta) slices of one shape")
     # one NaN would spread over every mode at the first transform
-    if not (np.isfinite(phi).all() and np.isfinite(phidot).all()):
-        raise ValueError("phi and phidot must be finite")
+    phi, phidot = _finite(phi, "phi", dtype=complex), _finite(phidot, "phidot", dtype=complex)
+    if np.ndim(phi) != 2 or np.shape(phi) != np.shape(phidot):
+        raise ValueError(f"phi {np.shape(phi)} and phidot {np.shape(phidot)} must be "
+                         "(x, theta) slices of one shape")
     nx, nq = phi.shape
     s = _symbol_slice(0.0, *_symbol_axes((nx, nq), dx, dtheta), lam, m)
     prev = np.fft.fft2(phi, out=np.empty((nx, nq), dtype=complex))

@@ -39,6 +39,7 @@ import numpy.polynomial
 import numpy.random
 
 from . import _workers
+from .reps import _finite, _refuse
 
 
 class QuadratureUnsupportedError(ValueError):
@@ -55,10 +56,8 @@ class OscillatorConfig:
 
     def __post_init__(self):
         for name in ("m", "omega", "Lambda", "Omega"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):  # NaN fails both
-                raise ValueError(f"oscillator parameter {name} must be finite and "
-                                 f"positive, got {value}")
+            if not _finite(getattr(self, name), name) > 0:
+                raise _refuse(name, getattr(self, name), "finite and positive")
         # a float D would give a float n_modes; bool is an Integral too
         if not (isinstance(self.D, numbers.Integral) and not isinstance(self.D, bool)
                 and self.D >= 2):
@@ -150,11 +149,9 @@ def ground_wavefunction(cfg: OscillatorConfig, theta_values, t: float = 0.0) -> 
 
     (Lambda Omega / pi)^{D(D-1)/8} exp(-(Lambda Omega/4) theta.theta)
     exp(-i D(D-1) Omega t / 4), where theta.theta is the doubled pair
-    contraction.
+    contraction.  theta_values (n_modes of them) and t are read by _finite.
     """
-    theta = np.asarray(theta_values, dtype=float)
-    if theta.shape != (cfg.n_modes,):
-        raise ValueError(f"expected {cfg.n_modes} theta components")
+    theta, t = _finite(theta_values, "theta_values", (cfg.n_modes,)), _finite(t, "t")
     lo = cfg.Lambda * cfg.Omega
     amp = (lo / math.pi) ** (cfg.D * (cfg.D - 1) / 8.0) * math.exp(
         -0.5 * lo * float(theta @ theta)
@@ -166,11 +163,9 @@ def weight_function(cfg: OscillatorConfig, theta_values) -> float:
     """W(theta) = (Lambda Omega/pi)^{D(D-1)/4} exp(-Lambda Omega theta.theta / 2).
 
     Normalized Gaussian over the independent components; equals
-    |ground_wavefunction|^2 at t = 0.
+    |ground_wavefunction|^2 at t = 0, reading theta_values as it does (inf raises).
     """
-    theta = np.asarray(theta_values, dtype=float)
-    if theta.shape != (cfg.n_modes,):
-        raise ValueError(f"expected {cfg.n_modes} theta components")
+    theta = _finite(theta_values, "theta_values", (cfg.n_modes,))
     lo = cfg.Lambda * cfg.Omega
     return (lo / math.pi) ** (cfg.D * (cfg.D - 1) / 4.0) * math.exp(
         -lo * float(theta @ theta)
@@ -215,9 +210,9 @@ def x2_expectation(cfg: OscillatorConfig, X2: float, p2: float) -> float:
     averaged over W independently of the x sector, the cross terms vanish
     and <x^2> = <X^2> + (1/4) sum_{i != j} <(theta^{ij})^2> <p_j^2>; the sum
     over ordered pairs counts each independent component twice, which gives
-    2 <theta^2> <p^2>/D.
+    2 <theta^2> <p^2>/D.  X2 and p2 are read by _finite.
     """
-    return X2 + moment(cfg, "theta2") * p2 / (2.0 * cfg.D)
+    return _finite(X2, "X2") + moment(cfg, "theta2") * _finite(p2, "p2") / (2.0 * cfg.D)
 
 
 class MomentEstimate(NamedTuple):

@@ -47,7 +47,7 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 def _rational(x, label: str) -> Fraction:
     """x read exactly as a Fraction; a float reads as its exact binary value.
 
-    A NaN or infinite x is a ValueError saying that label must be finite.
+    A NaN or infinite x is a ValueError naming label, as _finite's are.
     """
     try:
         return Fraction(x)
@@ -57,6 +57,37 @@ def _rational(x, label: str) -> Fraction:
         if x == x:  # not a NaN: some other unreadable value
             raise
     raise ValueError(f"{label} must be finite, got {x!r}") from None
+
+
+def _finite(x, name: str, shape: tuple[int, ...] | None = None, dtype: type = float):
+    """x read as a float (or complex) argument: the one rule for NaN and +-inf.
+
+    An int or float comes back as a float, without an array; anything else as
+    a new read-only array of dtype and shape (a number if it has no axes and
+    no shape is asked for).  A NaN or infinite entry, a complex one of a float
+    argument or one that is no number is a ValueError naming x."""
+    if shape is None and isinstance(x, (int, float)):
+        if math.isfinite(x):
+            return float(x)
+    else:
+        a = np.array(x)
+        if shape is not None and a.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+        kinds = "biufcO" if dtype is complex else "biufO"
+        try:
+            a = a.astype(dtype, copy=False) if a.dtype.kind in kinds else None
+        except TypeError:  # an object entry that is no such number
+            a = None
+        # count_nonzero: the cheapest whole-array reduction on small arrays
+        if a is not None and np.count_nonzero(np.isfinite(a)) == a.size:
+            a.setflags(write=False)
+            return a if a.ndim or shape is not None else dtype(a)
+    raise _refuse(name, x, "finite and real" if dtype is float else "finite")
+
+
+def _refuse(name: str, x, rule: str) -> ValueError:
+    """The error for an argument x that breaks its rule, naming it first."""
+    return ValueError(f"{name} must be {rule}, got {name} = {x}")
 
 
 class Scaled:
@@ -78,26 +109,23 @@ class Scaled:
 
     @staticmethod
     def of(m, exact: bool | None = None, label: str = "entries") -> "Scaled":
-        """m as a private read-only form over one denominator: the one reader.
+        """m as a private read-only form over one denominator: the one reader of matrices.
 
         exact defaults to whether m is an object array or an exact form.
-        Exact entries are read with _rational, the others into a float copy;
-        a NaN or infinite entry of either kind is a ValueError saying that
-        label must be finite.  num is always a new array, even for a form.
+        Exact entries are read with _rational, the others by _finite into a
+        float copy, so a NaN or infinite entry of either kind is a
+        ValueError naming label.  num is always a new array, even for a form.
         """
-        if isinstance(m, Scaled) and exact in (None, m.exact):
+        if isinstance(m, Scaled) and m.exact and exact is not False:
             out = Scaled(np.array(m.num), m.den)
         else:
             m = np.asarray(m.array() if isinstance(m, Scaled) else m)
-            if exact or (exact is None and m.dtype == object):
-                q = [v if type(v) in (int, Fraction) else _rational(v, label) for v in m.flat]
-                den = math.lcm(*(int(v.denominator) for v in q))
-                num = [int(v.numerator) * (den // int(v.denominator)) for v in q]
-                out = Scaled(np.array(num, dtype=object).reshape(m.shape), den)
-            else:
-                out = Scaled(np.array(m, dtype=float))
-        if not (out.exact or np.isfinite(out.num).all()):
-            raise ValueError(f"{label} must be finite")
+            if not (exact or (exact is None and m.dtype == object)):
+                return Scaled(_finite(m, label, m.shape))
+            q = [v if type(v) in (int, Fraction) else _rational(v, label) for v in m.flat]
+            den = math.lcm(*(int(v.denominator) for v in q))
+            num = [int(v.numerator) * (den // int(v.denominator)) for v in q]
+            out = Scaled(np.array(num, dtype=object).reshape(m.shape), den)
         out.num.flags.writeable = False
         return out
 
@@ -186,14 +214,14 @@ def vec_to_mat(v) -> np.ndarray:
     return out
 
 
-def antisymmetric(m, label: str, n: int = 4, exact: bool = False) -> np.ndarray:
+def antisymmetric(m, label: str, n: int = 4, exact: bool | None = None) -> np.ndarray:
     """m as an n x n array, after checking that it is antisymmetric.
 
-    m is read by Scaled.of, exactly when exact is True or m is an object
-    array, so a NaN or infinite entry is a ValueError naming label.  The
-    result is a Fraction object array (exact) or a read-only float array.
+    m is read by Scaled.of (exactly when exact is True, or None and m is an
+    object array), so a NaN or infinite entry is a ValueError naming label.
+    The result is a Fraction object array (exact) or a read-only float array.
     """
-    s = Scaled.of(m, exact or None, label)
+    s = Scaled.of(m, exact, label)
     _check_antisymmetric(s, label, n)
     return s.array()
 
@@ -432,7 +460,7 @@ def _check_axes(*axes: int) -> None:
 def exact_rotation(i: int, j: int, cos_sin: tuple[Fraction, Fraction]) -> np.ndarray:
     """Rational rotation in the spatial (i, j) plane, i != j in {1, 2, 3}."""
     _check_axes(i, j)
-    c, s = (_rational(x, "cos and sin") for x in cos_sin)
+    c, s = (_rational(x, "cos_sin") for x in cos_sin)
     if c * c + s * s != 1:
         raise ValueError("cos^2 + sin^2 must equal 1 exactly")
     lam = _EYE4.array()
@@ -521,7 +549,7 @@ def expm(a) -> np.ndarray:
     a is scaled by 2^-s so that its 1-norm is at most theta_13, the Pade
     approximant r = (V - U)^-1 (V + U) is evaluated from A^2, A^4 and A^6,
     and r is squared s times.  NaN or infinite input (or a 1-norm that
-    overflows) is a ValueError, so s is always finite.
+    overflows) is a ValueError naming a, so s is always finite.
     """
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, float), copy=False)
@@ -529,7 +557,7 @@ def expm(a) -> np.ndarray:
         raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
     norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
     if not math.isfinite(norm):
-        raise ValueError("expm needs finite entries")
+        raise ValueError(f"a must have a finite 1-norm, got {norm}")
     # no scaling at or below theta_13; comparing first keeps a subnormal norm
     # from underflowing norm / theta_13 to 0 and log2 from failing on it
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
@@ -567,13 +595,14 @@ def minkowski_dot(u, v) -> float:
 
 
 def pair_dot(A, B) -> float:
-    """A_{mu nu} B^{mu nu}, B's indices raised with the metric (floats)."""
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    """A_{mu nu} B^{mu nu}, B's indices raised with the metric; A and B read by _finite."""
+    A, B = _finite(A, "A", (4, 4)), _finite(B, "B", (4, 4))
     return float(np.einsum("mn,mn->", A, ETA @ B @ ETA))
 
 
 def orbital_m1(x_ref, k) -> np.ndarray:
-    """Orbital M1^{mu nu} = X^mu k^nu - X^nu k^mu at a reference point."""
+    """Orbital M1^{mu nu} = X^mu k^nu - X^nu k^mu at x_ref; x_ref and k read by _finite."""
+    x_ref, k = _finite(x_ref, "x_ref", (4,)), _finite(k, "k", (4,))
     return np.outer(x_ref, k) - np.outer(k, x_ref)
 
 
@@ -610,9 +639,8 @@ def _levi4() -> np.ndarray:
 
 
 def pauli_lubanski(m1, k) -> np.ndarray:
-    """s_mu = (1/2) eps_{mu nu rho sigma} M1^{nu rho} k^sigma (lower index)."""
-    m1 = np.asarray(m1, dtype=float)
-    k = np.asarray(k, dtype=float)
+    """s_mu = (1/2) eps_{mu nu rho sigma} M1^{nu rho} k^sigma (lower index); read by _finite."""
+    m1, k = _finite(m1, "m1", (4, 4)), _finite(k, "k", (4,))
     return 0.5 * np.einsum("mnrs,nr,s->m", _levi4(), m1, k)
 
 
@@ -624,14 +652,14 @@ def casimirs(k, K, m1=None, m2=None, x_ref=None, theta_ref=None):
     needs an angular-momentum matrix m1 (defaults to the orbital one at
     x_ref, which makes the Pauli-Lubanski vector vanish); C4 = (1/2)
     M2^{mu nu} K_{mu nu} likewise uses m2 or the orbital value at theta_ref.
-    The 1/2 in C3 and C4 is the independent-component normalization.
+    The 1/2 in C3 and C4 is the independent-component normalization.  Every
+    argument is read in floats, and a NaN or infinite entry is a ValueError.
     """
-    k = Scaled.of(k, False, "k").num
-    K = antisymmetric(Scaled.of(K, False, "K"), "K")
+    k, K = _finite(k, "k", (4,)), antisymmetric(K, "K", exact=False)
     if m1 is None:
         m1 = orbital_m1(np.zeros(4) if x_ref is None else x_ref, k)
-    if m2 is None:
-        m2 = orbital_m2(np.zeros((4, 4)) if theta_ref is None else theta_ref, K)
+    m2 = (orbital_m2(np.zeros((4, 4)) if theta_ref is None else theta_ref, K) if m2 is None
+          else _finite(m2, "m2", (4, 4)))
     s = pauli_lubanski(m1, k)
     c1, c2 = float(minkowski_dot(k, k)), float(minkowski_dot(s, s))
     return c1, c2, 0.5 * pair_dot(K, K), 0.5 * pair_dot(m2, K)
@@ -652,7 +680,7 @@ class SampledField:
     values has 10 axes: four x axes then six theta axes in PAIRS order.
     Size-1 axes mean the field is constant along that direction (the
     derivative is zero); size-2 axes cannot support the central stencil.
-    The origin must be finite and every spacing finite and positive.
+    origin and spacing are 10 floats each, read by _finite; each spacing must be > 0.
     """
 
     values: np.ndarray
@@ -662,12 +690,9 @@ class SampledField:
     def __post_init__(self):
         if self.values.ndim != 10:
             raise ValueError("values must have 10 axes (4 x + 6 theta)")
-        if len(self.origin) != 10 or len(self.spacing) != 10:
-            raise ValueError("origin and spacing must have 10 entries")
-        if not all(map(math.isfinite, self.origin)):
-            raise ValueError(f"origin must be finite, got {self.origin}")
-        if not all(math.isfinite(h) and h > 0 for h in self.spacing):
-            raise ValueError(f"spacing must be finite and positive, got {self.spacing}")
+        _finite(self.origin, "origin", (10,))
+        if not (_finite(self.spacing, "spacing", (10,)) > 0).all():
+            raise _refuse("spacing", self.spacing, "finite and positive")
 
     def coordinate(self, axis: int) -> np.ndarray:
         """Coordinate along one axis, broadcastable against values."""

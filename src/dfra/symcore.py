@@ -338,6 +338,19 @@ def _add_term(terms: dict, word: Codes, coeff: GaussRat) -> None:
 # expressions
 
 
+def _operand(method):
+    """method(self, other) with other an Expression: an int, Fraction or GaussRat
+    other is read as a scalar one, and any other gives NotImplemented."""
+    def op(self, other):
+        if not isinstance(other, Expression):
+            if not isinstance(other, (int, Fraction, GaussRat)):
+                return NotImplemented
+            other = Expression.scalar(other)
+        return method(self, other)
+
+    return op
+
+
 class Expression:
     """Finite linear combination of generator words with exact coefficients.
 
@@ -426,10 +439,8 @@ class Expression:
 
     # -- arithmetic --------------------------------------------------------
 
+    @_operand
     def __add__(self, other):
-        other = _as_expression(other)
-        if other is NotImplemented:
-            return NotImplemented
         terms = dict(self._terms)
         for word, coeff in other._terms.items():
             _add_term(terms, word, coeff)
@@ -437,14 +448,13 @@ class Expression:
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        other = _as_expression(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @_operand
     def __rsub__(self, other):
-        return _as_expression(other) - self
+        return other - self
 
     def __neg__(self):
         return _expr({w: -c for w, c in self._terms.items()})
@@ -467,10 +477,8 @@ class Expression:
             return self * other
         return NotImplemented
 
+    @_operand
     def __eq__(self, other):
-        other = _as_expression(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self):
@@ -530,14 +538,6 @@ class _Terms(Mapping):
 
     def __repr__(self):
         return repr(dict(self))
-
-
-def _as_expression(value) -> "Expression":
-    if isinstance(value, Expression):
-        return value
-    if isinstance(value, (int, Fraction, GaussRat)):
-        return Expression.scalar(value)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------

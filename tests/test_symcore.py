@@ -60,6 +60,27 @@ def test_gaussrat_accepts_int_and_fraction_parts():
         GaussRat(GaussRat(1))
 
 
+@pytest.mark.parametrize("other", [1.5, "a", None, 1j], ids=["float", "str", "None", "complex"])
+def test_expression_arithmetic_with_a_non_exact_operand_is_a_type_error(other):
+    # 1.5 - e recursed until a RecursionError: __rsub__ subtracted a NotImplemented
+    e = Expression.generator(Generator("x", (1,))) + 1
+    for op in (lambda: other - e, lambda: e - other):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+    for op in (lambda: other + e, lambda: e + other):
+        with pytest.raises(TypeError):
+            op()
+    assert e != other and not e == other
+
+
+def test_expression_arithmetic_reads_exact_scalars_on_either_side():
+    x1 = Expression.generator(Generator("x", (1,)))
+    e = x1 + Fraction(1, 2)
+    assert 2 - e == -x1 + Fraction(3, 2) == GaussRat(2) - e
+    assert e - 2 == x1 - Fraction(3, 2) and 2 + e == e + 2
+    assert Expression.scalar(3) == 3 and Expression.scalar(3) == GaussRat(3)
+
+
 _RATIONALS = st.fractions(min_value=-100, max_value=100, max_denominator=12)
 
 
